@@ -40,30 +40,29 @@ class KNearestNeighbors:
         self.classes_ = np.unique(y)
         return self
 
+    def _votes(self, X: np.ndarray):
+        """One distance matrix for the whole query: distances, each query's k
+        nearest rows in stable-argsort order, and the per-class vote counts."""
+        diff = self.X[None, :, :] - np.asarray(X)[:, None, :]
+        dists = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+        order = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
+        labels = self.y[order]
+        counts = np.stack([np.count_nonzero(labels == c, axis=1) for c in range(3)], axis=1)
+        return dists, order, counts
+
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((len(X), 3))
-        for i, x in enumerate(np.asarray(X)):
-            dists = np.sqrt(np.sum((self.X - x) ** 2, axis=1))
-            order = np.argsort(dists, kind="stable")[: self.k]
-            labels = self.y[order]
-            for c in range(3):
-                scores[i, c] = np.count_nonzero(labels == c) / self.k
-        return scores
+        return self._votes(X)[2] / self.k
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X), dtype=np.int64)
-        for i, x in enumerate(np.asarray(X)):
-            dists = np.sqrt(np.sum((self.X - x) ** 2, axis=1))
-            order = np.argsort(dists, kind="stable")[: self.k]
-            labels = self.y[order]
-            counts = np.bincount(labels, minlength=3)
-            best = np.flatnonzero(counts == counts.max())
-            if len(best) == 1:
-                out[i] = best[0]
-            else:
-                # break vote ties by smaller summed neighbor distance, then lower label
-                sums = {c: float(dists[order][labels == c].sum()) for c in best}
-                out[i] = min(best, key=lambda c: (sums[c], c))
+        dists, order, counts = self._votes(X)
+        out = np.argmax(counts, axis=1)
+        tied = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) > 1
+        for i in np.flatnonzero(tied):
+            # break vote ties by smaller summed neighbor distance, then lower label
+            best = np.flatnonzero(counts[i] == counts[i].max())
+            near, labels = dists[i, order[i]], self.y[order[i]]
+            sums = {c: float(near[labels == c].sum()) for c in best}
+            out[i] = min(best, key=lambda c: (sums[c], c))
         return out
 
     def to_dict(self) -> dict:
@@ -80,16 +79,14 @@ class KNearestNeighbors:
 
 # --- CART decision tree ----------------------------------------------------
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
+def _gini(counts: np.ndarray):
+    """Gini impurity of a class-count vector, or of each row of a count table."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (p * p).sum(axis=-1)
 
 
 class DecisionTree:
-    """CART with Gini impurity, exhaustive threshold search at midpoints."""
+    """CART with Gini impurity, threshold search over all midpoints."""
 
     def __init__(self, max_depth: int = 8, min_leaf: int = 1):
         self.max_depth = max_depth
@@ -107,23 +104,7 @@ class DecisionTree:
         node = {"counts": counts.tolist()}
         if depth >= self.max_depth or len(np.unique(y)) <= 1 or len(y) < 2 * self.min_leaf:
             return node
-        best = None  # (impurity, feature, threshold)
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            uniq = np.unique(col)
-            if len(uniq) < 2:
-                continue
-            thresholds = (uniq[:-1] + uniq[1:]) / 2.0
-            for t in thresholds:
-                left = col <= t
-                nl = int(np.count_nonzero(left))
-                if nl < self.min_leaf or len(y) - nl < self.min_leaf:
-                    continue
-                gl = _gini(np.bincount(y[left], minlength=3))
-                gr = _gini(np.bincount(y[~left], minlength=3))
-                imp = (nl * gl + (len(y) - nl) * gr) / len(y)
-                if best is None or imp < best[0] - 1e-15:
-                    best = (imp, j, float(t))
+        best = self._best_split(X, y, counts)
         if best is None or best[0] >= _gini(counts) - 1e-15:
             return node
         _, j, t = best
@@ -133,6 +114,38 @@ class DecisionTree:
         node["left"] = self._build(X[left], y[left], depth + 1)
         node["right"] = self._build(X[~left], y[~left], depth + 1)
         return node
+
+    def _best_split(self, X, y, counts):
+        """(impurity, feature, threshold) of the best midpoint split, or None.
+
+        Each feature is sorted once and the class counts left of every
+        midpoint come from one cumulative sum.  Candidates are visited
+        feature-first, threshold-ascending, and one replaces the best only
+        when lower by more than 1e-15.
+        """
+        n = len(y)
+        low = max(self.min_leaf, 1)  # a split with an empty side is no split
+        onehot = np.eye(3, dtype=np.int64)[y]
+        best = None
+        for j in range(X.shape[1]):
+            order = np.argsort(X[:, j], kind="stable")
+            xs = X[order, j]
+            cut = np.flatnonzero(xs[1:] > xs[:-1])
+            thresholds = (xs[cut] + xs[cut + 1]) / 2.0
+            # rows with value <= threshold; a midpoint can round up to the upper value
+            nl = np.searchsorted(xs, thresholds, side="right")
+            keep = (nl >= low) & (n - nl >= low)
+            thresholds, nl = thresholds[keep], nl[keep]
+            if len(nl) == 0:
+                continue
+            left = np.cumsum(onehot[order], axis=0)[nl - 1]
+            imp = (nl * _gini(left) + (n - nl) * _gini(counts - left)) / n
+            # only a strict running minimum can beat the best by the margin
+            records = np.flatnonzero(imp < np.minimum.accumulate(np.r_[np.inf, imp[:-1]]))
+            for i in records:
+                if best is None or imp[i] < best[0] - 1e-15:
+                    best = (float(imp[i]), j, float(thresholds[i]))
+        return best
 
     def _leaf(self, x):
         node = self.root
@@ -242,32 +255,73 @@ class LinearSVM:
         self.classes_ = None
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        if len(X) == 0:
+        return self.fit_many([self], [X], [y])[0]
+
+    @staticmethod
+    def fit_many(models: list["LinearSVM"], Xs: list, ys: list) -> list["LinearSVM"]:
+        """Fit models[i] on (Xs[i], ys[i]), every one-vs-rest machine in lockstep.
+
+        Machine ci of a model visits its rows in the order of per-epoch
+        permutations from default_rng(seed + ci) and takes step t with
+        eta = lr0 / (1 + lr0 * lam * t).  All machines take step t together,
+        so a model's W and b are those it gets when trained alone.
+        """
+        lam, lr0 = models[0].lam, models[0].lr0
+        if any((m.lam, m.lr0) != (lam, lr0) for m in models):
+            raise ValueError("SVMs trained together must share lam and lr0")
+        Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
+        if any(len(X) == 0 for X in Xs):
             raise DataError("cannot fit svm on an empty dataset")
-        X, y = np.asarray(X), np.asarray(y)
-        self.classes_ = np.unique(y)
-        n, d = X.shape
-        self.W = np.zeros((len(self.classes_), d))
-        self.b = np.zeros(len(self.classes_))
-        for ci, c in enumerate(self.classes_):
-            target = np.where(y == c, 1.0, -1.0)
-            rng = np.random.default_rng(self.seed + ci)
-            w = np.zeros(d)
-            b = 0.0
-            t = 0
-            for _ in range(self.epochs):
-                for i in rng.permutation(n):
-                    t += 1
-                    eta = self.lr0 / (1.0 + self.lr0 * self.lam * t)
-                    margin = target[i] * (X[i] @ w + b)
-                    if margin < 1.0:
-                        w = (1.0 - eta * self.lam) * w + eta * target[i] * X[i]
-                        b += eta * target[i]
-                    else:
-                        w = (1.0 - eta * self.lam) * w
-            self.W[ci] = w
-            self.b[ci] = b
-        return self
+        machines = []  # (total steps, model index, class index, row count)
+        for mi, (model, X, y) in enumerate(zip(models, Xs, ys)):
+            model.classes_ = np.unique(y)
+            model.W = np.zeros((len(model.classes_), X.shape[1]))
+            model.b = np.zeros(len(model.classes_))
+            machines += [(model.epochs * len(X), mi, ci, len(X))
+                         for ci in range(len(model.classes_))]
+        # longest-running first, so the machines still stepping are a prefix
+        machines.sort(key=lambda m: -m[0])
+        totals = np.array([m[0] for m in machines])
+        n_max = max(len(X) for X in Xs)
+        X_pad = np.zeros((len(Xs), n_max, Xs[0].shape[1]))
+        targets = np.zeros((len(machines), n_max))
+        for mi, X in enumerate(Xs):
+            X_pad[mi, : len(X)] = X
+        for k, (_, mi, ci, n) in enumerate(machines):
+            targets[k, :n] = np.where(np.asarray(ys[mi]) == models[mi].classes_[ci], 1.0, -1.0)
+        owner = np.array([m[1] for m in machines])
+        rngs = [np.random.default_rng(models[mi].seed + ci) for _, mi, ci, _ in machines]
+        pending = [np.empty(0, dtype=np.int64) for _ in machines]
+        W = np.zeros((len(machines), X_pad.shape[2]))
+        b = np.zeros(len(machines))
+        # steps run in chunks of one epoch of the largest fit, so the sample
+        # schedule in memory stays O(machines x rows) whatever the epoch count
+        for start in range(0, int(totals[0]), n_max):
+            steps = np.arange(start, min(start + n_max, int(totals[0])))
+            schedule = np.zeros((len(steps), len(machines)), dtype=np.int64)
+            for k, (total, _, _, n) in enumerate(machines):
+                while len(pending[k]) < len(steps) and start + len(pending[k]) < total:
+                    pending[k] = np.concatenate([pending[k], rngs[k].permutation(n)])
+                take = pending[k][: len(steps)]
+                schedule[: len(take), k] = take
+                pending[k] = pending[k][len(take):]
+            eta = lr0 / (1.0 + lr0 * lam * (steps + 1.0))
+            decay = 1.0 - eta * lam
+            x_steps = X_pad[owner, schedule]
+            t_steps = targets[np.arange(len(machines)), schedule]
+            active = np.count_nonzero(totals > steps[:, None], axis=1)
+            for s, a in enumerate(active):
+                x, target, w = x_steps[s, :a], t_steps[s, :a], W[:a]
+                # vecdot takes each row's dot product in BLAS, as `x @ w` does
+                hit = target * (np.vecdot(x, w) + b[:a]) < 1.0
+                gain = eta[s] * target
+                shrunk = decay[s] * w
+                W[:a] = np.where(hit[:, None], shrunk + gain[:, None] * x, shrunk)
+                b[:a] += np.where(hit, gain, 0.0)
+        for k, (_, mi, ci, _) in enumerate(machines):
+            models[mi].W[ci] = W[k]
+            models[mi].b[ci] = b[k]
+        return models
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.asarray(X) @ self.W.T + self.b
@@ -296,6 +350,28 @@ class LinearSVM:
 
 # --- 3-layer neural network ------------------------------------------------
 
+def _forward(X, W1, b1, W2, b2):
+    """Hidden pre-activation, hidden activation and softmax output of one
+    batch (n, d), or of stacked batches (M, n, d) with stacked parameters."""
+    z1 = X @ W1 + b1[..., None, :]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ W2 + b2[..., None, :]
+    z2 = z2 - z2.max(axis=-1, keepdims=True)
+    e = np.exp(z2)
+    return z1, a1, e / e.sum(axis=-1, keepdims=True)
+
+
+def _gradients(X, z1, a1, delta2, W2):
+    """Back-propagate the output error delta2, already divided by the batch size."""
+    delta1 = (delta2 @ np.swapaxes(W2, -1, -2)) * (z1 > 0.0)
+    return {
+        "W1": np.swapaxes(X, -1, -2) @ delta1,
+        "b1": delta1.sum(axis=-2),
+        "W2": np.swapaxes(a1, -1, -2) @ delta2,
+        "b2": delta2.sum(axis=-2),
+    }
+
+
 class NeuralNetwork:
     """input -> hidden (ReLU) -> 3-way softmax, cross-entropy loss,
     mini-batch gradient descent, Glorot-uniform initialization."""
@@ -320,56 +396,88 @@ class NeuralNetwork:
         self.W2 = rng.uniform(-lim2, lim2, size=(self.hidden, self.n_classes))
         self.b2 = np.zeros(self.n_classes)
 
-    def _forward(self, X: np.ndarray):
-        z1 = X @ self.W1 + self.b1
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ self.W2 + self.b2
-        z2 = z2 - z2.max(axis=1, keepdims=True)
-        e = np.exp(z2)
-        probs = e / e.sum(axis=1, keepdims=True)
-        return z1, a1, probs
-
     def loss_and_gradients(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy and analytic gradients on a batch."""
         X = np.asarray(X)
         n = len(X)
-        z1, a1, probs = self._forward(X)
+        z1, a1, probs = _forward(X, self.W1, self.b1, self.W2, self.b2)
         loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
         delta2 = probs.copy()
         delta2[np.arange(n), y] -= 1.0
         delta2 /= n
-        grads = {
-            "W2": a1.T @ delta2,
-            "b2": delta2.sum(axis=0),
-        }
-        delta1 = (delta2 @ self.W2.T) * (z1 > 0.0)
-        grads["W1"] = X.T @ delta1
-        grads["b1"] = delta1.sum(axis=0)
-        return loss, grads
+        return loss, _gradients(X, z1, a1, delta2, self.W2)
 
     def fit(self, X: np.ndarray, y: np.ndarray):
-        if len(X) == 0:
+        return self.fit_many([self], [X], [y])[0]
+
+    @staticmethod
+    def fit_many(models: list["NeuralNetwork"], Xs: list, ys: list) -> list["NeuralNetwork"]:
+        """Fit models[i] on (Xs[i], ys[i]), all networks in lockstep.
+
+        Each network draws its initial weights, then one permutation per
+        epoch, from default_rng(seed), as when trained alone.  Batch k of
+        every network's epoch is one stacked (M, B, d) step.  A short last
+        batch is zero-padded, masked out of the output error and divided by
+        its real size, so a network's weights do not depend on the networks
+        trained beside it.
+        """
+        if len({(m.hidden, m.lr, m.epochs, m.batch_size) for m in models}) > 1:
+            raise ValueError("networks trained together must share hyperparameters")
+        Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
+        if any(len(X) == 0 for X in Xs):
             raise DataError("cannot fit neural network on an empty dataset")
-        X, y = np.asarray(X), np.asarray(y, dtype=np.int64)
-        rng = np.random.default_rng(self.seed)
-        self.init_params(X.shape[1], rng)
-        n = len(X)
-        self.loss_history = []
-        for _ in range(self.epochs):
-            perm = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = perm[start:start + self.batch_size]
-                _, grads = self.loss_and_gradients(X[idx], y[idx])
-                self.W1 -= self.lr * grads["W1"]
-                self.b1 -= self.lr * grads["b1"]
-                self.W2 -= self.lr * grads["W2"]
-                self.b2 -= self.lr * grads["b2"]
-            loss, _ = self.loss_and_gradients(X, y)
-            self.loss_history.append(loss)
-        return self
+        # largest fit first, so the networks still stepping are a prefix
+        order = sorted(range(len(models)), key=lambda i: -len(Xs[i]))
+        nets = [models[i] for i in order]
+        n = np.array([len(Xs[i]) for i in order])
+        lr, epochs, size = nets[0].lr, nets[0].epochs, nets[0].batch_size
+        M, n_max, d = len(nets), int(n[0]), Xs[0].shape[1]
+        pad = n_max  # row index of an all-zero input with an all-zero target
+        X_pad = np.zeros((M, n_max + 1, d))
+        onehot = np.zeros((M, n_max + 1, 3))
+        labels = np.zeros((M, n_max), dtype=np.int64)
+        rngs = []
+        for k, (i, net) in enumerate(zip(order, nets)):
+            y = np.asarray(ys[i], dtype=np.int64)
+            X_pad[k, : n[k]] = Xs[i]
+            onehot[k, np.arange(n[k]), y] = 1.0
+            labels[k, : n[k]] = y
+            rngs.append(np.random.default_rng(net.seed))
+            net.init_params(d, rngs[-1])
+            net.loss_history = []
+        W1, b1, W2, b2 = (np.stack([getattr(net, p) for net in nets])
+                          for p in ("W1", "b1", "W2", "b2"))
+        n_batches = -(-n // size)
+        active = np.count_nonzero(n_batches > np.arange(n_batches[0])[:, None], axis=1)
+        # real rows in batch k of each network (1 where it has no batch k and idles)
+        real = np.clip(n[:, None] - size * np.arange(n_batches[0]), 1, size)
+        rows = np.arange(M)[:, None]
+        schedule = np.full((M, n_batches[0] * size), pad)
+        batches = schedule.reshape(M, n_batches[0], size)
+        for _ in range(epochs):
+            for k, rng in enumerate(rngs):
+                schedule[k, : n[k]] = rng.permutation(n[k])
+            for step, a in enumerate(active):
+                idx = batches[:a, step]
+                xb = X_pad[rows[:a], idx]
+                z1, a1, probs = _forward(xb, W1[:a], b1[:a], W2[:a], b2[:a])
+                delta2 = probs * (idx != pad)[:, :, None] - onehot[rows[:a], idx]
+                delta2 /= real[:a, step, None, None]
+                grads = _gradients(xb, z1, a1, delta2, W2[:a])
+                W1[:a] -= lr * grads["W1"]
+                b1[:a] -= lr * grads["b1"]
+                W2[:a] -= lr * grads["W2"]
+                b2[:a] -= lr * grads["b2"]
+            _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
+            p_true = probs[rows, np.arange(n_max), labels]
+            for k, net in enumerate(nets):
+                net.loss_history.append(float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))))
+        for k, net in enumerate(nets):
+            net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
+        return models
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        _, _, probs = self._forward(np.asarray(X))
+        _, _, probs = _forward(np.asarray(X), self.W1, self.b1, self.W2, self.b2)
         return probs
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -474,15 +582,27 @@ class TrainedModel:
 def train(algorithm: str, dataset: LabeledDataset,
           hyperparams: dict | None = None, seed: int = 0) -> TrainedModel:
     """Fit standardization on the dataset, then the requested classifier."""
-    if len(dataset) == 0:
+    return train_many(algorithm, [dataset], hyperparams, seed)[0]
+
+
+def train_many(algorithm: str, datasets: list[LabeledDataset],
+               hyperparams: dict | None = None, seed: int = 0) -> list[TrainedModel]:
+    """`train` on each dataset; families with a `fit_many` train all fits in
+    lockstep, which gives each model the parameters it gets when trained alone."""
+    if any(len(ds) == 0 for ds in datasets):
         raise DataError("cannot train on an empty dataset")
-    standardizer = Standardizer().fit(dataset.features)
-    model = _make_model(algorithm, hyperparams or {}, seed)
-    model.fit(standardizer.transform(dataset.features), dataset.labels)
-    return TrainedModel(
-        algorithm=algorithm,
-        model=model,
-        standardizer=standardizer,
-        seed=seed,
-        feature_names=list(dataset.feature_names),
-    )
+    standardizers = [Standardizer().fit(ds.features) for ds in datasets]
+    models = [_make_model(algorithm, hyperparams or {}, seed) for _ in datasets]
+    Xs = [st.transform(ds.features) for st, ds in zip(standardizers, datasets)]
+    ys = [ds.labels for ds in datasets]
+    fit_many = getattr(type(models[0]), "fit_many", None)
+    if fit_many is not None:
+        fit_many(models, Xs, ys)
+    else:
+        for model, X, y in zip(models, Xs, ys):
+            model.fit(X, y)
+    return [
+        TrainedModel(algorithm=algorithm, model=model, standardizer=st, seed=seed,
+                     feature_names=list(ds.feature_names))
+        for model, st, ds in zip(models, standardizers, datasets)
+    ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import audio_io, evaluation
 from .data import LabeledDataset, load_feature_csv, save_feature_csv
-from .errors import VoicePDError
+from .errors import ConfigError, DataError, VoicePDError
 from .features import FEATURE_NAMES, FeatureConfig, extract_all
 from .pitch import PitchConfig, analyze_pitch
 from .selection import chi2_scores
@@ -29,6 +29,12 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 _KIND_ALIASES = {"pulse": "pulse_train", "noise": "white_noise"}
+
+# accepted Python types per RunConfig annotation, and lower bounds of int fields
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+                "int | None": (int, type(None))}
+_MINIMUMS = {"bins": 2, "cv_k": 2, "knn_k": 1, "tree_min_leaf": 1,
+             "nn_hidden": 1, "nn_batch": 1}
 
 
 @dataclass
@@ -66,11 +72,28 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path!r} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise VoicePDError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        cfg = cls(**raw)
+        cfg.validate()
+        return cfg
+
+    def validate(self) -> None:
+        """Raise ConfigError on a value of the wrong type or out of range."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            allowed = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
+        for name, low in _MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"config {name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"config test_fraction must be in (0, 1), got {self.test_fraction}")
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -119,6 +142,7 @@ def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
+    cfg.validate()
     return cfg
 
 
@@ -153,6 +177,9 @@ def cmd_extract(args) -> int:
         fh.write("path,reason\n")
         for path, reason in rejects:
             fh.write(f"{path},{json.dumps(reason)}\n")
+    if not rows:
+        raise DataError(f"no recording was accepted ({len(rejects)} rejected; "
+                        f"reasons in {sidecar})")
     print(f"wrote {len(rows)} rows to {args.out} ({len(rejects)} rejected)")
     return EXIT_OK
 

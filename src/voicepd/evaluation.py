@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import TrainedModel, train
+from .classifiers import TrainedModel, train_many
 from .data import CLASS_NAMES, LabeledDataset
 from .errors import DataError
 from .selection import chi2_scores, select_top_k
@@ -150,6 +150,8 @@ def kfold(dataset: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray, 
     if k < 2:
         raise DataError(f"k must be >= 2, got {k}")
     counts = {c: n for c, n in dataset.class_counts().items() if n > 0}
+    if not counts:
+        raise DataError("the dataset has no rows to split into folds")
     smallest = min(counts.values())
     if k > smallest:
         raise DataError(
@@ -187,33 +189,47 @@ class CVResult:
     fold_cms: list[ConfusionMatrix]
 
 
+def _fit_and_score(algorithm: str, splits: list[tuple[LabeledDataset, LabeledDataset]],
+                   seed: int, hyperparams: dict | None, bins: int,
+                   top_k: int | None) -> list[ConfusionMatrix]:
+    """Confusion matrix of each (train, test) split: chi2 selection (when
+    top_k is below the feature count) and standardization are fitted on the
+    training rows only, and all the models are trained in one batch."""
+    selected = []
+    for train_ds, test_ds in splits:
+        if top_k is not None and top_k < train_ds.n_features:
+            mask = select_top_k(chi2_scores(train_ds, bins=bins), top_k)
+            train_ds, test_ds = train_ds.select_features(mask), test_ds.select_features(mask)
+        selected.append((train_ds, test_ds))
+    models = train_many(algorithm, [train_ds for train_ds, _ in selected], hyperparams, seed=seed)
+    return [evaluate(model, test_ds) for model, (_, test_ds) in zip(models, selected)]
+
+
+def _fold_splits(dataset: LabeledDataset, k: int, seed: int):
+    return [(dataset.subset(train_idx), dataset.subset(test_idx))
+            for train_idx, test_idx in kfold(dataset, k, seed)]
+
+
+def _cv_result(algorithm: str, fold_cms: list[ConfusionMatrix]) -> CVResult:
+    pooled = ConfusionMatrix()
+    for cm in fold_cms:
+        pooled = pooled.add(cm)
+    return CVResult(
+        pooled=metrics(pooled, model_id=algorithm, fold_id="pooled"),
+        pooled_cm=pooled,
+        fold_reports=[metrics(cm, model_id=algorithm, fold_id=str(fold_id))
+                      for fold_id, cm in enumerate(fold_cms)],
+        fold_cms=fold_cms,
+    )
+
+
 def cross_validate(algorithm: str, dataset: LabeledDataset, k: int, seed: int,
                    hyperparams: dict | None = None, bins: int = 10,
                    top_k: int | None = None) -> CVResult:
     """Stratified k-fold CV; chi2 selection and standardization are refitted
     inside each fold on its training rows only."""
-    folds = kfold(dataset, k, seed)
-    pooled = ConfusionMatrix()
-    fold_cms: list[ConfusionMatrix] = []
-    fold_reports: list[MetricsReport] = []
-    for fold_id, (train_idx, test_idx) in enumerate(folds):
-        train_ds = dataset.subset(train_idx)
-        test_ds = dataset.subset(test_idx)
-        if top_k is not None and top_k < dataset.n_features:
-            mask = select_top_k(chi2_scores(train_ds, bins=bins), top_k)
-            train_ds = train_ds.select_features(mask)
-            test_ds = test_ds.select_features(mask)
-        model = train(algorithm, train_ds, hyperparams, seed=seed)
-        cm = evaluate(model, test_ds)
-        fold_cms.append(cm)
-        fold_reports.append(metrics(cm, model_id=algorithm, fold_id=str(fold_id)))
-        pooled = pooled.add(cm)
-    return CVResult(
-        pooled=metrics(pooled, model_id=algorithm, fold_id="pooled"),
-        pooled_cm=pooled,
-        fold_reports=fold_reports,
-        fold_cms=fold_cms,
-    )
+    splits = _fold_splits(dataset, k, seed)
+    return _cv_result(algorithm, _fit_and_score(algorithm, splits, seed, hyperparams, bins, top_k))
 
 
 def run_experiment(dataset: LabeledDataset, algorithm: str, seed: int,
@@ -221,19 +237,15 @@ def run_experiment(dataset: LabeledDataset, algorithm: str, seed: int,
                    hyperparams: dict | None = None, bins: int = 10,
                    top_k: int | None = None) -> dict:
     """Holdout split, CV on the training portion, holdout evaluation of a
-    final model trained on all training rows.  Returns the JSON-ready report."""
+    final model trained on all training rows.  Returns the JSON-ready report.
+
+    The k fold models and the final model are trained in one batch."""
     train_idx, test_idx = stratified_split(dataset, test_fraction, seed)
     train_ds = dataset.subset(train_idx)
-    test_ds = dataset.subset(test_idx)
-    cv = cross_validate(algorithm, train_ds, cv_k, seed, hyperparams, bins, top_k)
-    if top_k is not None and top_k < dataset.n_features:
-        mask = select_top_k(chi2_scores(train_ds, bins=bins), top_k)
-        train_fit = train_ds.select_features(mask)
-        test_fit = test_ds.select_features(mask)
-    else:
-        train_fit, test_fit = train_ds, test_ds
-    final_model = train(algorithm, train_fit, hyperparams, seed=seed)
-    holdout_cm = evaluate(final_model, test_fit)
+    splits = _fold_splits(train_ds, cv_k, seed) + [(train_ds, dataset.subset(test_idx))]
+    cms = _fit_and_score(algorithm, splits, seed, hyperparams, bins, top_k)
+    cv = _cv_result(algorithm, cms[:-1])
+    holdout_cm = cms[-1]
     holdout = metrics(holdout_cm, model_id=algorithm, fold_id="holdout")
     return {
         "model": algorithm,

@@ -1,0 +1,344 @@
+"""Array and lockstep classifier code checked against the loop versions it
+replaced, which live on here as oracles.
+
+Trees and kNN outputs must be equal, SVM weights bit-identical, and NN
+weights and loss curves equal when every mini-batch is full.  A short last
+batch is zero-padded in the lockstep trainer, which can move the
+floating-point summation order of its gradient sums, so there the NN is held
+to 1e-12.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from voicepd.classifiers import (
+    DecisionTree,
+    KNearestNeighbors,
+    LinearSVM,
+    NeuralNetwork,
+    train,
+)
+from voicepd.data import LabeledDataset
+from voicepd.evaluation import (
+    ConfusionMatrix,
+    evaluate,
+    kfold,
+    metrics,
+    run_experiment,
+    stratified_split,
+)
+from voicepd.selection import chi2_scores, select_top_k
+from voicepd.synth import gen_blobs
+
+NN_SHORT_BATCH_TOL = 1e-12
+
+
+# --- oracles: the loop implementations ------------------------------------
+
+def oracle_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.sum(p * p))
+
+
+def oracle_tree(X, y, depth, max_depth, min_leaf):
+    """Exhaustive CART: every midpoint of every feature, first best wins."""
+    counts = np.bincount(y, minlength=3)
+    node = {"counts": counts.tolist()}
+    if depth >= max_depth or len(np.unique(y)) <= 1 or len(y) < 2 * min_leaf:
+        return node
+    best = None
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        uniq = np.unique(col)
+        if len(uniq) < 2:
+            continue
+        for t in (uniq[:-1] + uniq[1:]) / 2.0:
+            left = col <= t
+            nl = int(np.count_nonzero(left))
+            if nl < min_leaf or len(y) - nl < min_leaf:
+                continue
+            gl = oracle_gini(np.bincount(y[left], minlength=3))
+            gr = oracle_gini(np.bincount(y[~left], minlength=3))
+            imp = (nl * gl + (len(y) - nl) * gr) / len(y)
+            if best is None or imp < best[0] - 1e-15:
+                best = (imp, j, float(t))
+    if best is None or best[0] >= oracle_gini(counts) - 1e-15:
+        return node
+    _, j, t = best
+    left = X[:, j] <= t
+    node["feature"] = j
+    node["threshold"] = t
+    node["left"] = oracle_tree(X[left], y[left], depth + 1, max_depth, min_leaf)
+    node["right"] = oracle_tree(X[~left], y[~left], depth + 1, max_depth, min_leaf)
+    return node
+
+
+def oracle_svm(X, y, lam, epochs, lr0, seed):
+    """One-vs-rest machines trained one after another, one sample per step."""
+    classes = np.unique(y)
+    n, d = X.shape
+    W, b = np.zeros((len(classes), d)), np.zeros(len(classes))
+    for ci, c in enumerate(classes):
+        target = np.where(y == c, 1.0, -1.0)
+        rng = np.random.default_rng(seed + ci)
+        w, bias, t = np.zeros(d), 0.0, 0
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = lr0 / (1.0 + lr0 * lam * t)
+                if target[i] * (X[i] @ w + bias) < 1.0:
+                    w = (1.0 - eta * lam) * w + eta * target[i] * X[i]
+                    bias += eta * target[i]
+                else:
+                    w = (1.0 - eta * lam) * w
+        W[ci], b[ci] = w, bias
+    return W, b
+
+
+def _oracle_forward(X, p):
+    z1 = X @ p["W1"] + p["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ p["W2"] + p["b2"]
+    z2 = z2 - z2.max(axis=1, keepdims=True)
+    e = np.exp(z2)
+    return z1, a1, e / e.sum(axis=1, keepdims=True)
+
+
+def _oracle_loss_and_gradients(X, y, p):
+    n = len(X)
+    z1, a1, probs = _oracle_forward(X, p)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+    delta2 = probs.copy()
+    delta2[np.arange(n), y] -= 1.0
+    delta2 /= n
+    grads = {"W2": a1.T @ delta2, "b2": delta2.sum(axis=0)}
+    delta1 = (delta2 @ p["W2"].T) * (z1 > 0.0)
+    grads["W1"] = X.T @ delta1
+    grads["b1"] = delta1.sum(axis=0)
+    return loss, grads
+
+
+def oracle_nn(X, y, hidden, lr, epochs, batch_size, seed):
+    """One network, one mini-batch per step; returns (params, loss history)."""
+    rng = np.random.default_rng(seed)
+    d = X.shape[1]
+    lim1 = np.sqrt(6.0 / (d + hidden))
+    lim2 = np.sqrt(6.0 / (hidden + 3))
+    p = {"W1": rng.uniform(-lim1, lim1, size=(d, hidden)), "b1": np.zeros(hidden)}
+    p["W2"] = rng.uniform(-lim2, lim2, size=(hidden, 3))
+    p["b2"] = np.zeros(3)
+    history = []
+    for _ in range(epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), batch_size):
+            idx = perm[start:start + batch_size]
+            _, grads = _oracle_loss_and_gradients(X[idx], y[idx], p)
+            for name in ("W1", "b1", "W2", "b2"):
+                p[name] -= lr * grads[name]
+        history.append(_oracle_loss_and_gradients(X, y, p)[0])
+    return p, history
+
+
+def oracle_knn(Xtr, ytr, k, Xq):
+    """(predictions, scores) with one distance loop per query row."""
+    pred, scores = np.zeros(len(Xq), dtype=np.int64), np.zeros((len(Xq), 3))
+    for i, x in enumerate(Xq):
+        dists = np.sqrt(np.sum((Xtr - x) ** 2, axis=1))
+        order = np.argsort(dists, kind="stable")[:k]
+        labels = ytr[order]
+        for c in range(3):
+            scores[i, c] = np.count_nonzero(labels == c) / k
+        counts = np.bincount(labels, minlength=3)
+        best = np.flatnonzero(counts == counts.max())
+        if len(best) == 1:
+            pred[i] = best[0]
+        else:
+            sums = {c: float(dists[order][labels == c].sum()) for c in best}
+            pred[i] = min(best, key=lambda c: (sums[c], c))
+    return pred, scores
+
+
+def oracle_run_experiment(dataset, algorithm, seed, test_fraction, cv_k,
+                          hyperparams, bins, top_k):
+    """The report built with one `train` call per fit, fold after fold."""
+
+    def fit_and_score(train_ds, test_ds):
+        if top_k is not None and top_k < dataset.n_features:
+            mask = select_top_k(chi2_scores(train_ds, bins=bins), top_k)
+            train_ds, test_ds = train_ds.select_features(mask), test_ds.select_features(mask)
+        return evaluate(train(algorithm, train_ds, hyperparams, seed=seed), test_ds)
+
+    train_idx, test_idx = stratified_split(dataset, test_fraction, seed)
+    train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
+    fold_cms = [fit_and_score(train_ds.subset(tr), train_ds.subset(te))
+                for tr, te in kfold(train_ds, cv_k, seed)]
+    pooled = ConfusionMatrix()
+    for cm in fold_cms:
+        pooled = pooled.add(cm)
+    holdout_cm = fit_and_score(train_ds, test_ds)
+    return {
+        "model": algorithm,
+        "seed": seed,
+        "holdout": metrics(holdout_cm, algorithm, "holdout").to_dict(),
+        "holdout_confusion_matrix": holdout_cm.to_lists(),
+        "cv": {
+            "pooled": metrics(pooled, algorithm, "pooled").to_dict(),
+            "pooled_confusion_matrix": pooled.to_lists(),
+            "folds": [metrics(cm, algorithm, str(f)).to_dict() for f, cm in enumerate(fold_cms)],
+            "fold_confusion_matrices": [cm.to_lists() for cm in fold_cms],
+        },
+    }
+
+
+# --- data -------------------------------------------------------------------
+
+def tree_data(seed, n=60, d=5):
+    """Coarsely rounded values (many duplicates) plus one constant column."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, size=n)
+    X = np.round(rng.standard_normal((n, d)) + 0.8 * y[:, None], 1)
+    X[:, 2] = 1.5
+    return X, y
+
+
+def uneven_fits(sizes=(61, 62, 68), d=6, seed=0):
+    """Overlapping three-class data sets of the given row counts."""
+    rng = np.random.default_rng(seed)
+    fits = []
+    for n in sizes:
+        y = rng.integers(0, 3, size=n)
+        X = rng.standard_normal((n, d)) + 0.7 * y[:, None]
+        fits.append((X, y))
+    return fits
+
+
+def assert_bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# --- tests ------------------------------------------------------------------
+
+class TestTreeOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_depth,min_leaf", [(8, 1), (8, 2), (6, 3), (0, 1), (1, 1), (1, 3)])
+    def test_root_equals_exhaustive_search(self, seed, max_depth, min_leaf):
+        X, y = tree_data(seed)
+        tree = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
+        assert tree.root == oracle_tree(X, y, 0, max_depth, min_leaf)
+
+    def test_single_class(self):
+        X, _ = tree_data(7)
+        y = np.full(len(X), 2)
+        assert DecisionTree().fit(X, y).root == oracle_tree(X, y, 0, 8, 1) == {"counts": [0, 0, 60]}
+
+    def test_blobs_default_depth(self):
+        ds = gen_blobs((22, 28, 30), separation=1.0, seed=3)
+        tree = DecisionTree().fit(ds.features, ds.labels)
+        assert tree.root == oracle_tree(ds.features, ds.labels, 0, 8, 1)
+
+    @pytest.mark.parametrize("seed", [*range(30), 529])
+    def test_near_ties_on_integer_grid(self, seed):
+        # equal impurities reached through different counts round apart by
+        # a few ulps, where only the 1e-15 margin decides: seed 21 needs the
+        # margin, seed 529 a chain of near-ties within one feature
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 40))
+        y = rng.integers(0, 3, size=n)
+        X = rng.integers(0, 6, size=(n, 3)).astype(float)
+        assert DecisionTree(max_depth=2).fit(X, y).root == oracle_tree(X, y, 0, 2, 1)
+
+    def test_midpoint_rounding_to_upper_value(self):
+        # adjacent doubles whose midpoint rounds (to even) up to the upper one
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        X = np.array([[a], [a], [b], [b], [b + 1.0]])
+        y = np.array([0, 0, 1, 1, 2])
+        tree = DecisionTree().fit(X, y)
+        assert tree.root == oracle_tree(X, y, 0, 8, 1)
+
+
+class TestKnnOracle:
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 9])
+    def test_predictions_and_scores_equal_loops(self, k):
+        rng = np.random.default_rng(k)
+        # small integer grid: many equal distances and split votes
+        Xtr = rng.integers(0, 4, size=(40, 3)).astype(float)
+        ytr = rng.integers(0, 3, size=40)
+        Xq = rng.integers(0, 4, size=(30, 3)).astype(float)
+        knn = KNearestNeighbors(k=k).fit(Xtr, ytr)
+        pred, scores = oracle_knn(Xtr, ytr, k, Xq)
+        np.testing.assert_array_equal(knn.predict(Xq), pred)
+        np.testing.assert_array_equal(knn.predict_scores(Xq), scores)
+
+
+class TestSvmOracle:
+    def test_lockstep_bit_identical_on_uneven_folds(self):
+        fits = uneven_fits()
+        # one fit without class 1 gives it two machines instead of three
+        X, y = fits[1]
+        fits[1] = (X[y != 1], y[y != 1])
+        models = [LinearSVM(epochs=15, seed=4) for _ in fits]
+        LinearSVM.fit_many(models, [X for X, _ in fits], [y for _, y in fits])
+        for model, (X, y) in zip(models, fits):
+            W, b = oracle_svm(X, y, 1e-3, 15, 1.0, 4)
+            assert_bit_equal(model.W, W)
+            assert_bit_equal(model.b, b)
+
+    def test_single_fit_matches_loop(self):
+        (X, y), = uneven_fits(sizes=(50,), seed=2)
+        model = LinearSVM(lam=1e-2, epochs=10, lr0=0.5, seed=9).fit(X, y)
+        W, b = oracle_svm(X, y, 1e-2, 10, 0.5, 9)
+        assert_bit_equal(model.W, W)
+        assert_bit_equal(model.b, b)
+
+
+class TestNeuralNetworkOracle:
+    def _check(self, sizes, batch_size, tol):
+        fits = uneven_fits(sizes=sizes, seed=1)
+        models = [NeuralNetwork(hidden=7, epochs=12, batch_size=batch_size, seed=3) for _ in fits]
+        NeuralNetwork.fit_many(models, [X for X, _ in fits], [y for _, y in fits])
+        for model, (X, y) in zip(models, fits):
+            params, history = oracle_nn(X, y, 7, 0.01, 12, batch_size, 3)
+            for name, value in params.items():
+                np.testing.assert_allclose(getattr(model, name), value, rtol=0, atol=tol)
+            np.testing.assert_allclose(model.loss_history, history, rtol=0, atol=tol)
+
+    def test_full_batches_exact(self):
+        self._check((64, 72, 80), 8, 0.0)
+
+    def test_short_batches_within_tolerance(self):
+        self._check((61, 62, 68), 8, NN_SHORT_BATCH_TOL)
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("family", [LinearSVM, NeuralNetwork])
+    def test_alone_equals_beside_others(self, family):
+        fits = uneven_fits(sizes=(33, 61, 47), seed=5)
+        make = (lambda s: LinearSVM(epochs=8, seed=s)) if family is LinearSVM else \
+            (lambda s: NeuralNetwork(hidden=5, epochs=8, batch_size=6, seed=s))
+        together = [make(s) for s in (0, 1, 2)]
+        family.fit_many(together, [X for X, _ in fits], [y for _, y in fits])
+        names = ("W", "b") if family is LinearSVM else ("W1", "b1", "W2", "b2")
+        for seed, model, (X, y) in zip((0, 1, 2), together, fits):
+            alone = make(seed).fit(X, y)
+            for name in names:
+                assert_bit_equal(getattr(model, name), getattr(alone, name))
+
+
+class TestRunExperimentOracle:
+    @pytest.mark.parametrize("algorithm", ["knn", "tree", "nb", "svm", "nn"])
+    def test_report_byte_identical(self, algorithm):
+        ds = gen_blobs((14, 17, 19), separation=1.5, seed=8)
+        ds = LabeledDataset(ds.features[:, :6], ds.labels, list(ds.feature_names[:6]))
+        hyperparams = {"svm": {"epochs": 6}, "nn": {"epochs": 6, "batch_size": 5}}.get(algorithm)
+        args = dict(seed=2, test_fraction=0.2, cv_k=3, hyperparams=hyperparams, bins=5, top_k=4)
+        report = run_experiment(ds, algorithm, **args)
+        expected = oracle_run_experiment(ds, algorithm, **args)
+        assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)

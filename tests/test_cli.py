@@ -75,15 +75,17 @@ class TestExtractCommand:
         manifest = tmp_path / "m.csv"
         manifest.write_text("")
         out = tmp_path / "f.csv"
-        assert run("extract", "--manifest", manifest, "--out", out) == 0
+        assert run("extract", "--manifest", manifest, "--out", out) == 2
         assert out.read_text().splitlines() == [EXPECTED_HEADER]
 
-    def test_silence_goes_to_sidecar(self, tmp_path):
+    def test_silence_goes_to_sidecar(self, tmp_path, capsys):
         assert run("synth", "--kind", "silence", "--out-dir", tmp_path, "--name", "quiet") == 0
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"{tmp_path}/quiet.wav,0\n")
         out = tmp_path / "f.csv"
-        assert run("extract", "--manifest", manifest, "--out", out) == 0
+        # no accepted recording is a data error, but both files are still written
+        assert run("extract", "--manifest", manifest, "--out", out) == 2
+        assert "no recording was accepted (1 rejected" in capsys.readouterr().err
         assert out.read_text().splitlines() == [EXPECTED_HEADER]
         rejects = (tmp_path / "f.csv.rejects.csv").read_text().splitlines()
         assert len(rejects) == 2 and "quiet.wav" in rejects[1]
@@ -129,6 +131,12 @@ class TestEvaluateCommand:
         assert report["cv"]["pooled"]["accuracy"] >= 0.95
         assert set(report["holdout"]["per_class"]) == {
             "0 (Med Off)", "1 (Healthy)", "2 (Med On)"}
+
+    def test_header_only_csv_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(EXPECTED_HEADER + "\n")
+        assert run("evaluate", "--features", path, "--algorithm", "knn") == 2
+        assert "no rows" in capsys.readouterr().err
 
     def test_same_seed_identical_json(self, tmp_path):
         path = self._blob_csv(tmp_path)
@@ -198,6 +206,27 @@ class TestRunConfig:
         assert run("evaluate", "--features", features, "--algorithm", "nb",
                    "--config", cfg_path, "--seed", 99, "--out", out) == 0
         assert json.loads(out.read_text())["seed"] == 99
+
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ({"cv_k": "10"}, [], "cv_k must be int"),
+        ({}, ["--nn-batch", 0], "nn_batch must be >= 1"),
+        ({"knn_k": 0}, [], "knn_k must be >= 1"),
+        ({"bins": 1}, [], "bins must be >= 2"),
+        ({"test_fraction": 1.0}, [], "test_fraction must be in (0, 1)"),
+        ({"svm_lambda": True}, [], "svm_lambda must be float"),
+        ({}, ["--cv-k", 1], "cv_k must be >= 2"),
+    ])
+    def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
+        from voicepd.data import save_feature_csv
+        from voicepd.synth import gen_blobs
+        features = tmp_path / "f.csv"
+        save_feature_csv(str(features), gen_blobs(10, seed=0))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run("evaluate", "--features", features, "--algorithm", "nn",
+                   "--config", cfg_path, *flags) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestFullPipelineDeterminism:
