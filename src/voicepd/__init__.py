@@ -1,7 +1,7 @@
 """Voice-based dysphonia analysis: WAV ingestion, pitch/cycle detection,
 19 acoustic features, chi-square ranking, and three-class classification."""
 
-from .audio_io import AudioSignal, Frame, ManifestEntry, frame_signal, load_manifest, load_wav, save_wav
+from .audio_io import AudioSignal, ManifestEntry, frame_signal, load_manifest, load_wav, save_wav
 from .data import CLASS_NAMES, LabeledDataset, Standardizer, load_feature_csv, save_feature_csv
 from .features import FEATURE_NAMES, FeatureConfig, FeatureVector, extract_all
 from .pitch import PitchConfig, PitchEstimate, PitchTrack, analyze_pitch, estimate_pitch, segment_cycles, track_pitch

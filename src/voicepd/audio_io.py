@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 import wave
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AudioDecodeError, ManifestError
 
@@ -47,18 +48,6 @@ class AudioSignal:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One analysis window into a signal."""
-
-    start_index: int
-    length: int
-    hop: int
-
-    def slice(self, samples: np.ndarray) -> np.ndarray:
-        return samples[self.start_index:self.start_index + self.length]
 
 
 @dataclass(frozen=True)
@@ -168,23 +157,24 @@ def load_manifest(path: str) -> list[ManifestEntry]:
     return entries
 
 
-def class_counts(entries: list[ManifestEntry]) -> dict[int, int]:
-    counts = {c: 0 for c in VALID_LABELS}
-    for e in entries:
-        counts[e.label] += 1
-    return counts
-
-
-def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> list[Frame]:
-    """Tile the signal with fixed-size frames; a short trailing frame is dropped."""
+def frame_geometry(sample_rate: int, frame_ms: float, hop_ms: float) -> tuple[int, int]:
+    """Frame length and hop in samples, each at least 1."""
     if frame_ms <= 0 or hop_ms <= 0:
         raise ValueError("frame_ms and hop_ms must be positive")
-    n = len(signal.samples)
-    length = int(round(frame_ms * signal.sample_rate / 1000.0))
-    hop = int(round(hop_ms * signal.sample_rate / 1000.0))
-    length = max(length, 1)
-    hop = max(hop, 1)
-    if length > n:
-        return []
-    count = (n - length) // hop + 1
-    return [Frame(start_index=i * hop, length=length, hop=hop) for i in range(count)]
+    length = max(int(round(frame_ms * sample_rate / 1000.0)), 1)
+    hop = max(int(round(hop_ms * sample_rate / 1000.0)), 1)
+    return length, hop
+
+
+def frame_signal(samples: np.ndarray, sample_rate: int,
+                 frame_ms: float, hop_ms: float) -> np.ndarray:
+    """Tile samples with fixed-size frames; a short trailing frame is dropped.
+
+    Returns a read-only strided (n_frames, frame_len) view: row i starts at
+    sample i * hop.  Nothing is copied.  A signal shorter than one frame
+    gives zero rows.
+    """
+    length, hop = frame_geometry(sample_rate, frame_ms, hop_ms)
+    if length > len(samples):
+        return np.empty((0, length))
+    return sliding_window_view(samples, length)[::hop]

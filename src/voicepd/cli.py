@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,11 +31,14 @@ EXIT_INTERNAL = 3
 
 _KIND_ALIASES = {"pulse": "pulse_train", "noise": "white_noise"}
 
-# accepted Python types per RunConfig annotation, and lower bounds of int fields
+# accepted Python types per RunConfig annotation, lower bounds of int fields,
+# and the float fields that must be > 0
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
                 "int | None": (int, type(None))}
-_MINIMUMS = {"bins": 2, "cv_k": 2, "knn_k": 1, "tree_min_leaf": 1,
-             "nn_hidden": 1, "nn_batch": 1}
+_MINIMUMS = {"bins": 2, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1, "tree_min_leaf": 1,
+             "svm_epochs": 1, "nn_hidden": 1, "nn_epochs": 1, "nn_batch": 1}
+_POSITIVE = ("frame_ms", "hop_ms", "f0_min", "sure_threshold", "svm_lambda", "nn_lr",
+             "nb_var_floor")
 
 
 @dataclass
@@ -89,9 +93,19 @@ class RunConfig:
             allowed = _FIELD_TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config {f.name} must be finite, got {value!r}")
         for name, low in _MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"config {name} must be >= {low}, got {getattr(self, name)}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"config {name} must be > 0, got {getattr(self, name)}")
+        if self.f0_min >= self.f0_max:
+            raise ConfigError(f"config f0_min must be < f0_max, got {self.f0_min} >= {self.f0_max}")
+        if not 0.0 <= self.voicing_threshold <= 1.0:
+            raise ConfigError(
+                f"config voicing_threshold must be in [0, 1], got {self.voicing_threshold}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"config test_fraction must be in (0, 1), got {self.test_fraction}")
 

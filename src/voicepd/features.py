@@ -9,7 +9,7 @@ default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import welch, get_window
@@ -136,12 +136,11 @@ def mean_energy(signal: AudioSignal, config: FeatureConfig | None = None) -> flo
     than one frame.
     """
     config = config or FeatureConfig()
-    frames = frame_signal(signal, config.pitch.frame_ms, config.pitch.hop_ms)
-    x = signal.samples
-    if not frames:
-        return float(np.mean(x * x))
-    energies = [float(np.mean(f.slice(x) ** 2)) for f in frames]
-    return float(np.mean(energies))
+    power = signal.samples * signal.samples
+    frames = frame_signal(power, signal.sample_rate, config.pitch.frame_ms, config.pitch.hop_ms)
+    if len(frames) == 0:
+        return float(np.mean(power))
+    return float(np.mean(np.mean(frames, axis=1)))
 
 
 def descriptive_stats(signal: AudioSignal) -> dict[str, float]:
@@ -155,9 +154,10 @@ def descriptive_stats(signal: AudioSignal) -> dict[str, float]:
         raise UndefinedFeatureError("descriptive stats need at least 2 samples")
     mean = float(np.mean(x))
     centered = x - mean
-    m2 = float(np.mean(centered ** 2))
-    m3 = float(np.mean(centered ** 3))
-    m4 = float(np.mean(centered ** 4))
+    c2 = centered * centered
+    m2 = float(np.mean(c2))
+    m3 = float(np.mean(c2 * centered))
+    m4 = float(np.mean(c2 * c2))
     if m2 > 0.0:
         skewness = m3 / m2 ** 1.5
         kurtosis = m4 / m2 ** 2
@@ -214,16 +214,28 @@ def power_spectrum(signal: AudioSignal,
 
 def mean_frequency(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
     """Power-weighted spectral centroid in Hz."""
-    freqs, psd = power_spectrum(signal, config)
+    return _mean_frequency(*power_spectrum(signal, config))
+
+
+def shannon_entropy(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
+    """Shannon entropy of the normalized PSD, scaled by log2(K) into [0, 1]."""
+    return _shannon_entropy(*power_spectrum(signal, config))
+
+
+def power_bandwidth(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
+    """3 dB bandwidth: width of the contiguous band around the spectral peak
+    where the PSD stays >= peak/2, edges by linear interpolation."""
+    return _power_bandwidth(*power_spectrum(signal, config))
+
+
+def _mean_frequency(freqs: np.ndarray, psd: np.ndarray) -> float:
     total = float(np.sum(psd))
     if total <= 0.0:
         raise UndefinedFeatureError("mean_frequency undefined for zero-power signal")
     return float(np.sum(freqs * psd) / total)
 
 
-def shannon_entropy(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
-    """Shannon entropy of the normalized PSD, scaled by log2(K) into [0, 1]."""
-    _, psd = power_spectrum(signal, config)
+def _shannon_entropy(freqs: np.ndarray, psd: np.ndarray) -> float:
     total = float(np.sum(psd))
     if total <= 0.0:
         raise UndefinedFeatureError("shannon_entropy undefined for zero-power signal")
@@ -233,10 +245,7 @@ def shannon_entropy(signal: AudioSignal, config: SpectralConfig | None = None) -
     return h / math.log2(len(psd))
 
 
-def power_bandwidth(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
-    """3 dB bandwidth: width of the contiguous band around the spectral peak
-    where the PSD stays >= peak/2, edges by linear interpolation."""
-    freqs, psd = power_spectrum(signal, config)
+def _power_bandwidth(freqs: np.ndarray, psd: np.ndarray) -> float:
     total = float(np.sum(psd))
     if total <= 0.0:
         raise UndefinedFeatureError("power_bandwidth undefined for zero-power signal")
@@ -268,13 +277,14 @@ def extract_all(signal: AudioSignal, track: PitchTrack,
     imputing when jitter/shimmer or the spectrum are undefined."""
     config = config or FeatureConfig()
     stats = descriptive_stats(signal)
+    spectrum = power_spectrum(signal, config.spectral)
     vec = FeatureVector(
         maximum=stats["maximum"],
-        mean_frequency=mean_frequency(signal, config.spectral),
+        mean_frequency=_mean_frequency(*spectrum),
         minimum=stats["minimum"],
         shimmer_db=shimmer(track),
         log_entropy=log_entropy(signal, config.log_entropy_eps),
-        power_bandwidth_hz=power_bandwidth(signal, config.spectral),
+        power_bandwidth_hz=_power_bandwidth(*spectrum),
         jitter_pct=jitter(track),
         mean_energy=mean_energy(signal, config),
         rms=rms(signal),
@@ -284,7 +294,7 @@ def extract_all(signal: AudioSignal, track: PitchTrack,
         median=stats["median"],
         skewness=stats["skewness"],
         kurtosis=stats["kurtosis"],
-        shannon_entropy=shannon_entropy(signal, config.spectral),
+        shannon_entropy=_shannon_entropy(*spectrum),
         zcr=zcr(signal),
         sure_entropy=sure_entropy(signal, config.sure_threshold),
         iqr=stats["iqr"],

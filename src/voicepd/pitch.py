@@ -9,11 +9,11 @@ per-cycle periods P_i and peak amplitudes V_i that jitter and shimmer use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioSignal, frame_signal
+from .audio_io import AudioSignal, frame_geometry, frame_signal
 from .errors import ConfigError
 
 
@@ -55,78 +55,96 @@ class PitchTrack:
         return len(self.cycle_periods)
 
 
-def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Raw autocorrelation sums r(0..max_lag), normalized by r(0)."""
-    n = len(x)
+# frames per rFFT batch: enough to amortize the per-call cost, few enough
+# that the (block, nfft) spectra stay near 1 MB at 48 kHz
+_BLOCK_FRAMES = 32
+
+
+def _normalized_acf(frames: np.ndarray, nfft: int, n_lags: int) -> np.ndarray:
+    """Raw autocorrelation sums r(0..n_lags-1) of each row, normalized by r(0);
+    all zero for a row with r(0) <= 0."""
+    spec = np.fft.rfft(frames, nfft)
+    power = spec * np.conj(spec)
+    del spec  # the block's transforms are the largest arrays of the extract path
+    acf = np.fft.irfft(power, nfft)[:, :n_lags]
+    r0 = acf[:, :1]
+    return np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0.0)
+
+
+def _estimate_frames(frames: np.ndarray, sample_rate: int, config: PitchConfig,
+                     first_index: int = 0) -> list[PitchEstimate]:
+    """Period estimate of every row of `frames` via its normalized ACF peak.
+
+    The autocorrelation sums r(0..lag_max+1) of each frame come from a
+    zero-padded rFFT of length the next power of two >= 2 * frame_len,
+    taken over blocks of rows.
+    """
+    if config.f0_min >= config.f0_max:
+        raise ConfigError(f"f0_min {config.f0_min} must be < f0_max {config.f0_max}")
+    n_frames, frame_len = frames.shape
+    lag_min = max(int(np.ceil(sample_rate / config.f0_max)), 1)
+    lag_max = int(np.floor(sample_rate / config.f0_min))
+    if lag_max >= frame_len:
+        raise ConfigError(f"lag range up to {lag_max} exceeds frame length {frame_len}")
+    if lag_min > lag_max:  # no whole lag inside the f0 range
+        return [PitchEstimate(first_index + i, None, 0.0) for i in range(n_frames)]
     nfft = 1
-    while nfft < 2 * n:
+    while nfft < 2 * frame_len:
         nfft *= 2
-    spec = np.fft.rfft(x, nfft)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
-    if acf[0] <= 0.0:
-        return np.zeros(max_lag + 1)
-    return acf / acf[0]
+
+    estimates: list[PitchEstimate] = []
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        acf = _normalized_acf(frames[start:start + _BLOCK_FRAMES], nfft, lag_max + 2)
+        if lag_max + 1 == frame_len:  # lag frame_len lies outside the frame: -inf there
+            acf[:, -1] = -np.inf
+        # restrict to local maxima so the decaying near-zero-lag edge never wins
+        vals = acf[:, lag_min:lag_max + 1]
+        is_peak = (vals >= acf[:, lag_min - 1:lag_max]) & (vals >= acf[:, lag_min + 1:])
+        has_peak = is_peak.any(axis=1)
+        best = np.argmax(np.where(is_peak, vals, -np.inf), axis=1)
+        score = np.where(has_peak, vals[np.arange(len(vals)), best], vals.max(axis=1))
+        voiced = has_peak & (score >= config.voicing_threshold)
+        estimates += [
+            PitchEstimate(frame_index=first_index + start + k,
+                          period_s=(lag_min + b) / sample_rate if v else None,
+                          voicing_score=s if v else max(s, 0.0))
+            for k, (b, s, v) in enumerate(zip(best.tolist(), score.tolist(), voiced.tolist()))
+        ]
+    return estimates
 
 
 def estimate_pitch(frame_samples: np.ndarray, sample_rate: int,
                    config: PitchConfig, frame_index: int = 0) -> PitchEstimate:
     """Single-frame period estimate via the normalized autocorrelation peak."""
-    if config.f0_min >= config.f0_max:
-        raise ConfigError(f"f0_min {config.f0_min} must be < f0_max {config.f0_max}")
-    lag_min = max(int(np.ceil(sample_rate / config.f0_max)), 1)
-    lag_max = int(np.floor(sample_rate / config.f0_min))
-    if lag_max >= len(frame_samples):
-        raise ConfigError(
-            f"lag range up to {lag_max} exceeds frame length {len(frame_samples)}"
-        )
-    upper = min(lag_max + 1, len(frame_samples) - 1)
-    acf = _normalized_acf(np.asarray(frame_samples, dtype=np.float64), upper)
-    if upper == lag_max:
-        acf = np.concatenate([acf, [-np.inf]])
-    # restrict to local maxima so the decaying near-zero-lag edge never wins
-    lags = np.arange(lag_min, lag_max + 1)
-    vals = acf[lag_min:lag_max + 1]
-    is_peak = (vals >= acf[lags - 1]) & (vals >= acf[lags + 1])
-    if not np.any(is_peak):
-        score = float(np.max(vals)) if len(vals) else 0.0
-        return PitchEstimate(frame_index=frame_index, period_s=None, voicing_score=max(score, 0.0))
-    peak_vals = np.where(is_peak, vals, -np.inf)
-    best = int(np.argmax(peak_vals))
-    score = float(vals[best])
-    if score < config.voicing_threshold:
-        return PitchEstimate(frame_index=frame_index, period_s=None, voicing_score=max(score, 0.0))
-    period_s = (lag_min + best) / sample_rate
-    return PitchEstimate(frame_index=frame_index, period_s=period_s, voicing_score=score)
+    frame = np.asarray(frame_samples, dtype=np.float64)
+    return _estimate_frames(frame[np.newaxis], sample_rate, config, frame_index)[0]
 
 
 def track_pitch(signal: AudioSignal, config: PitchConfig) -> list[PitchEstimate]:
     """Frame the signal and estimate the pitch of every frame."""
-    frames = frame_signal(signal, config.frame_ms, config.hop_ms)
-    return [
-        estimate_pitch(f.slice(signal.samples), signal.sample_rate, config, frame_index=i)
-        for i, f in enumerate(frames)
-    ]
+    frames = frame_signal(signal.samples, signal.sample_rate, config.frame_ms, config.hop_ms)
+    if len(frames) == 0:
+        return []
+    return _estimate_frames(frames, signal.sample_rate, config)
+
+
+def _voiced_runs(periods: list[float | None]) -> list[tuple[int, int]]:
+    """(start, stop) frame ranges of the maximal runs of voiced frames."""
+    voiced = np.array([p is not None for p in periods], dtype=np.int8)
+    edges = np.flatnonzero(np.diff(voiced, prepend=0, append=0)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _median_smooth_runs(periods: list[float | None]) -> list[float | None]:
     """Width-3 median filter applied within each voiced run (edges replicated)."""
     out: list[float | None] = list(periods)
-    n = len(periods)
-    i = 0
-    while i < n:
-        if periods[i] is None:
-            i += 1
-            continue
-        j = i
-        while j < n and periods[j] is not None:
-            j += 1
-        run = periods[i:j]
-        if len(run) >= 3:
-            padded = [run[0]] + run + [run[-1]]
-            out[i:j] = [
-                float(np.median(padded[k:k + 3])) for k in range(len(run))
-            ]
-        i = j
+    for i, j in _voiced_runs(periods):
+        if j - i >= 3:
+            b = np.array(periods[i:j])
+            a = np.concatenate((b[:1], b[:-1]))
+            c = np.concatenate((b[1:], b[-1:]))
+            # the middle one of (a, b, c): the value np.median would pick
+            out[i:j] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)).tolist()
     return out
 
 
@@ -140,32 +158,19 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
     """
     x = signal.samples
     fs = signal.sample_rate
-    hop = max(int(round(config.hop_ms * fs / 1000.0)), 1)
-    frame_len = max(int(round(config.frame_ms * fs / 1000.0)), 1)
+    frame_len, hop = frame_geometry(fs, config.frame_ms, config.hop_ms)
     n = len(x)
 
-    raw = [e.period_s for e in estimates]
-    periods = _median_smooth_runs(raw)
+    periods = _median_smooth_runs([e.period_s for e in estimates])
 
-    all_periods: list[float] = []
-    all_peaks: list[float] = []
-
-    i = 0
-    m = len(periods)
-    while i < m:
-        if periods[i] is None:
-            i += 1
-            continue
-        j = i
-        while j < m and periods[j] is not None:
-            j += 1
+    all_periods: list[np.ndarray] = []
+    all_peaks: list[np.ndarray] = []
+    for i, j in _voiced_runs(periods):
         # voiced run covers frames i..j-1
         start = i * hop
         end = min((j - 1) * hop + frame_len, n)
-        p0 = periods[i] * fs
-        w_end = min(start + int(p0) + 1, end)
+        w_end = min(start + int(periods[i] * fs) + 1, end)
         if w_end <= start:
-            i = j
             continue
         anchor = start + int(np.argmax(x[start:w_end]))
         anchors = [anchor]
@@ -178,16 +183,16 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
                 break
             anchor = lo + int(np.argmax(x[lo:hi]))
             anchors.append(anchor)
-        for a, b in zip(anchors[:-1], anchors[1:]):
-            peak = float(np.max(np.abs(x[a:b])))
-            if peak > 0.0:
-                all_periods.append((b - a) / fs)
-                all_peaks.append(peak)
-        i = j
+        first = anchors[0]
+        bounds = np.array(anchors)
+        peaks = np.maximum.reduceat(np.abs(x[first:anchor]), bounds[:-1] - first)
+        keep = peaks > 0.0
+        all_periods.append(np.diff(bounds)[keep] / fs)
+        all_peaks.append(peaks[keep])
 
     return PitchTrack(
-        cycle_periods=np.array(all_periods),
-        cycle_peaks=np.array(all_peaks),
+        cycle_periods=np.concatenate(all_periods) if all_periods else np.array([]),
+        cycle_peaks=np.concatenate(all_peaks) if all_peaks else np.array([]),
         f0_range=(config.f0_min, config.f0_max),
     )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from voicepd.audio_io import (
     AudioSignal,
-    class_counts,
+    frame_geometry,
     frame_signal,
     load_manifest,
     load_wav,
@@ -136,8 +136,8 @@ class TestManifest:
         path.write_text("\n".join(lines) + "\n")
         entries = load_manifest(str(path))
         assert len(entries) == 80
-        counts = class_counts(entries)
-        assert (counts[0], counts[1], counts[2]) == (22, 28, 30)
+        counts = np.bincount([e.label for e in entries], minlength=3)
+        assert tuple(counts) == (22, 28, 30)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -169,28 +169,34 @@ class TestManifest:
         path = tmp / "m.csv"
         path.write_text("".join(f"f{i}.wav,{lb}\n" for i, lb in enumerate(labels)))
         entries = load_manifest(str(path))
-        assert sum(class_counts(entries).values()) == len(entries) == len(labels)
+        assert [e.label for e in entries] == labels
 
 
 class TestFraming:
     def test_counts_1s_8khz(self):
-        sig = AudioSignal(samples=np.ones(8000) * 0.5, sample_rate=8000)
-        frames = frame_signal(sig, 40.0, 10.0)
-        assert len(frames) == 97
-        assert all(f.length == 320 for f in frames)
+        frames = frame_signal(np.ones(8000) * 0.5, 8000, 40.0, 10.0)
+        assert frames.shape == (97, 320)
 
     def test_short_signal_empty(self):
-        sig = AudioSignal(samples=np.ones(160) * 0.5, sample_rate=8000)
-        assert frame_signal(sig, 40.0, 10.0) == []
+        frames = frame_signal(np.ones(160) * 0.5, 8000, 40.0, 10.0)
+        assert frames.shape == (0, 320)
 
     def test_nonoverlapping_tiling(self):
-        sig = AudioSignal(samples=np.ones(1000) * 0.5, sample_rate=8000)
-        frames = frame_signal(sig, 40.0, 40.0)
+        x = np.arange(1000.0)
+        frames = frame_signal(x, 8000, 40.0, 40.0)
         assert len(frames) == 1000 // 320
-        starts = [f.start_index for f in frames]
+        starts = frames[:, 0].astype(int).tolist()
         assert starts == [0, 320, 640]
 
     def test_frames_fit_signal(self):
-        sig = AudioSignal(samples=np.ones(999) * 0.5, sample_rate=8000)
-        for f in frame_signal(sig, 17.0, 5.0):
-            assert f.start_index + f.length <= 999
+        # sample values equal their indices, so each row shows its own offsets
+        x = np.arange(999.0)
+        frames = frame_signal(x, 8000, 17.0, 5.0)
+        length, hop = frame_geometry(8000, 17.0, 5.0)
+        assert frames.shape == ((999 - length) // hop + 1, length)
+        for i, row in enumerate(frames):
+            np.testing.assert_array_equal(row, x[i * hop:i * hop + length])
+
+    def test_view_shares_memory(self):
+        x = np.arange(8000.0)
+        assert np.shares_memory(frame_signal(x, 8000, 40.0, 10.0), x)

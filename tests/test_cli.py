@@ -216,6 +216,15 @@ class TestRunConfig:
         ({"test_fraction": 1.0}, [], "test_fraction must be in (0, 1)"),
         ({"svm_lambda": True}, [], "svm_lambda must be float"),
         ({}, ["--cv-k", 1], "cv_k must be >= 2"),
+        ({}, ["--nn-lr", "nan"], "nn_lr must be finite"),
+        ({}, ["--svm-epochs", -2], "svm_epochs must be >= 1"),
+        ({}, ["--nn-epochs", 0], "nn_epochs must be >= 1"),
+        ({}, ["--tree-max-depth", 0], "tree_max_depth must be >= 1"),
+        ({}, ["--svm-lambda", 0], "svm_lambda must be > 0"),
+        ({}, ["--nb-var-floor", 0], "nb_var_floor must be > 0"),
+        ({"nn_lr": float("inf")}, [], "nn_lr must be finite"),
+        ({"hop_ms": 0}, [], "hop_ms must be > 0"),
+        ({"voicing_threshold": 1.5}, [], "voicing_threshold must be in [0, 1]"),
     ])
     def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
         from voicepd.data import save_feature_csv
@@ -227,6 +236,26 @@ class TestRunConfig:
         assert run("evaluate", "--features", features, "--algorithm", "nn",
                    "--config", cfg_path, *flags) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--hop-ms", 0], "hop_ms must be > 0"),
+        (["--frame-ms", -40], "frame_ms must be > 0"),
+        (["--sure-threshold", 0], "sure_threshold must be > 0"),
+        (["--f0-min", "nan"], "f0_min must be finite"),
+        (["--f0-max", "inf"], "f0_max must be finite"),
+        (["--f0-min", 0], "f0_min must be > 0"),
+        (["--f0-min", 500, "--f0-max", 60], "f0_min must be < f0_max"),
+        (["--voicing-threshold", -0.1], "voicing_threshold must be in [0, 1]"),
+    ])
+    def test_invalid_extract_flags_exit_2(self, tmp_path, capsys, flags, message):
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
+                   "--sample-rate", 16000, "--name", "a") == 0
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
+        out = tmp_path / "f.csv"
+        assert run("extract", "--manifest", manifest, "--out", out, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFullPipelineDeterminism:
