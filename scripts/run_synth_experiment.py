@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from voicepd.classifiers import ALGORITHMS
 from voicepd.cli import main as cli
 
 
@@ -29,8 +30,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", required=True)
     parser.add_argument("--per-class", type=int, default=8)
-    parser.add_argument("--algorithm", default="knn",
-                        choices=["knn", "tree", "nb", "svm", "nn"])
+    parser.add_argument("--algorithm", default="knn", choices=ALGORITHMS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -125,35 +125,39 @@ def save_wav(signal: AudioSignal, path: str) -> None:
 
 def load_manifest(path: str) -> list[ManifestEntry]:
     """Read a `path,label` manifest, header line optional."""
-    if not os.path.isfile(path):
-        raise ManifestError(f"manifest not found: {path!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path!r} is not UTF-8 text: {exc}") from None
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ManifestError(f"line {lineno}: expected `path,label`, got {line!r}")
-            wav_path, label_text = parts[0].strip(), parts[1].strip()
-            try:
-                label = int(label_text)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ManifestError(
-                    f"line {lineno}: label {label_text!r} is not an integer"
-                ) from None
-            if label not in VALID_LABELS:
-                raise ManifestError(
-                    f"line {lineno}: label {label} outside {{0, 1, 2}} for {wav_path!r}"
-                )
-            if wav_path in seen:
-                log.warning("manifest %s line %d: duplicate path %r (kept)", path, lineno, wav_path)
-            seen.add(wav_path)
-            entries.append(ManifestEntry(path=wav_path, label=label))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ManifestError(f"line {lineno}: expected `path,label`, got {line!r}")
+        wav_path, label_text = parts[0].strip(), parts[1].strip()
+        try:
+            label = int(label_text)
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise ManifestError(
+                f"line {lineno}: label {label_text!r} is not an integer"
+            ) from None
+        if label not in VALID_LABELS:
+            raise ManifestError(
+                f"line {lineno}: label {label} outside {{0, 1, 2}} for {wav_path!r}"
+            )
+        if wav_path in seen:
+            log.warning("manifest %s line %d: duplicate path %r (kept)", path, lineno, wav_path)
+        seen.add(wav_path)
+        entries.append(ManifestEntry(path=wav_path, label=label))
     return entries
 
 

@@ -547,12 +547,6 @@ class TrainedModel:
             )
         return self.model.predict(self.standardizer.transform(features))
 
-    def predict_one(self, x: np.ndarray) -> tuple[int, np.ndarray]:
-        features = self.standardizer.transform(np.atleast_2d(x))
-        label = int(self.model.predict(features)[0])
-        scores = self.model.predict_scores(features)[0]
-        return label, scores
-
     def to_json(self) -> str:
         doc = {
             "version": MODEL_FORMAT_VERSION,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio_io, evaluation
-from .data import LabeledDataset, load_feature_csv, save_feature_csv
+from .classifiers import ALGORITHMS
+from .data import LabeledDataset, load_feature_csv, open_output, save_feature_csv
 from .errors import ConfigError, DataError, VoicePDError
 from .features import FEATURE_NAMES, FeatureConfig, extract_all
 from .pitch import PitchConfig, analyze_pitch
@@ -74,8 +75,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -187,7 +193,7 @@ def cmd_extract(args) -> int:
     dataset = LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64))
     save_feature_csv(args.out, dataset)
     sidecar = args.out + ".rejects.csv"
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(sidecar) as fh:
         fh.write("path,reason\n")
         for path, reason in rejects:
             fh.write(f"{path},{json.dumps(reason)}\n")
@@ -203,7 +209,7 @@ def cmd_rank(args) -> int:
     dataset = load_feature_csv(args.features)
     scores = chi2_scores(dataset, bins=cfg.bins)
     ranked = sorted(scores, key=lambda s: s.rank)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(args.out) as fh:
         fh.write("rank,feature,chi2\n")
         for s in ranked:
             fh.write(f"{s.rank},{s.feature_name},{s.chi2!r}\n")
@@ -222,7 +228,7 @@ def cmd_evaluate(args) -> int:
     )
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open_output(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -237,14 +243,17 @@ def cmd_synth(args) -> int:
         shimmer_db=args.shimmer, seed=args.seed,
     )
     signal, truth = gen_signal(spec)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {args.out_dir!r}: {exc.strerror}") from None
     name = args.name or (
         f"{kind}_f{args.f0:g}_j{args.jitter:g}_s{args.shimmer:g}_seed{args.seed}"
     )
     wav_path = os.path.join(args.out_dir, name + ".wav")
     json_path = os.path.join(args.out_dir, name + ".json")
     audio_io.save_wav(signal, wav_path)
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(json_path) as fh:
         fh.write(truth.to_json() + "\n")
     print(f"wrote {wav_path} and {json_path}")
     return EXIT_OK
@@ -257,7 +266,7 @@ def cmd_plotdata(args) -> int:
             f"unknown feature {args.feature!r}; valid names: {', '.join(FEATURE_NAMES)}"
         )
     j = dataset.feature_names.index(args.feature)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(args.out) as fh:
         fh.write("class,recording,value\n")
         for i, (row, label) in enumerate(zip(dataset.features, dataset.labels)):
             fh.write(f"{int(label)},{i},{float(row[j])!r}\n")
@@ -283,7 +292,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="holdout + k-fold CV report for one algorithm")
     p.add_argument("--features", required=True)
-    p.add_argument("--algorithm", required=True, choices=["knn", "tree", "nb", "svm", "nn"])
+    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--out", default=None)
     _add_config_flags(p, _EVAL_FIELDS)
     p.set_defaults(func=cmd_evaluate)

@@ -84,16 +84,29 @@ class Standardizer:
         return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
 
 
+def open_output(path: str):
+    """Open a text file for writing; a path that cannot be created is a DataError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def save_feature_csv(path: str, dataset: LabeledDataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(list(dataset.feature_names) + ["label"]) + "\n")
         for row, label in zip(dataset.features, dataset.labels):
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
 def load_feature_csv(path: str) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise DataError(f"cannot read feature CSV {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"feature CSV {path!r} is not UTF-8 text: {exc}") from None
     if not lines:
         raise DataError(f"empty feature CSV: {path!r}")
     header = lines[0].split(",")

@@ -71,13 +71,31 @@ def _normalized_acf(frames: np.ndarray, nfft: int, n_lags: int) -> np.ndarray:
     return np.divide(acf, r0, out=np.zeros_like(acf), where=r0 > 0.0)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length numpy's FFT handles quickly."""
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _estimate_frames(frames: np.ndarray, sample_rate: int, config: PitchConfig,
                      first_index: int = 0) -> list[PitchEstimate]:
     """Period estimate of every row of `frames` via its normalized ACF peak.
 
     The autocorrelation sums r(0..lag_max+1) of each frame come from a
-    zero-padded rFFT of length the next power of two >= 2 * frame_len,
-    taken over blocks of rows.
+    zero-padded rFFT over blocks of rows.  Its length nfft is the smallest
+    2^a * 3^b * 5^c >= frame_len + lag_max + 1.  At lag k the circular
+    correlation adds r(nfft - k), which is zero for every lag read
+    (k <= lag_max + 1) because nfft - k >= frame_len.
     """
     if config.f0_min >= config.f0_max:
         raise ConfigError(f"f0_min {config.f0_min} must be < f0_max {config.f0_max}")
@@ -88,9 +106,7 @@ def _estimate_frames(frames: np.ndarray, sample_rate: int, config: PitchConfig,
         raise ConfigError(f"lag range up to {lag_max} exceeds frame length {frame_len}")
     if lag_min > lag_max:  # no whole lag inside the f0 range
         return [PitchEstimate(first_index + i, None, 0.0) for i in range(n_frames)]
-    nfft = 1
-    while nfft < 2 * frame_len:
-        nfft *= 2
+    nfft = _next_fast_len(frame_len + lag_max + 1)
 
     estimates: list[PitchEstimate] = []
     for start in range(0, n_frames, _BLOCK_FRAMES):

@@ -63,7 +63,9 @@ class TestTrain:
 class TestPredict:
     def test_training_point_1nn_own_label(self, blobs):
         model = train("knn", blobs, {"k": 1}, seed=0)
-        label, scores = model.predict_one(blobs.features[5])
+        row = blobs.features[5:6]
+        label = int(model.predict(row)[0])
+        scores = model.model.predict_scores(model.standardizer.transform(row))[0]
         assert label == blobs.labels[5]
         assert scores[label] == 1.0
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voicepd
 from voicepd.cli import RunConfig, main
 from voicepd.features import FEATURE_NAMES
 
@@ -256,6 +260,82 @@ class TestRunConfig:
         assert run("extract", "--manifest", manifest, "--out", out, *flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def _bad_input_case(case, tmp_path):
+    """(argv, path the message must name) for one unreadable or unwritable file."""
+    from voicepd.data import save_feature_csv
+    from voicepd.synth import gen_blobs
+    features = tmp_path / "f.csv"
+    save_feature_csv(str(features), gen_blobs(4, seed=0))
+    missing = tmp_path / "no_such.csv"
+    out_in_missing_dir = tmp_path / "no_such_dir" / "out.csv"
+    evaluate = ["evaluate", "--algorithm", "nb", "--cv-k", 2]
+    if case == "config_missing":
+        bad = tmp_path / "no_such.json"
+        return [*evaluate, "--features", features, "--config", bad], bad
+    if case == "config_malformed":
+        bad = tmp_path / "cfg.json"
+        bad.write_text('{"seed": 1,')
+        return [*evaluate, "--features", features, "--config", bad], bad
+    if case == "manifest_not_utf8":
+        bad = tmp_path / "manifest.csv"
+        bad.write_bytes(b"caf\xe9.wav,1\n")
+        return ["extract", "--manifest", bad, "--out", tmp_path / "o.csv"], bad
+    if case == "features_not_utf8":
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(features.read_bytes().replace(b"label", b"lab\xe9l"))
+        return [*evaluate, "--features", bad], bad
+    if case == "features_missing_evaluate":
+        return [*evaluate, "--features", missing], missing
+    if case == "features_missing_rank":
+        return ["rank", "--features", missing, "--out", tmp_path / "r.csv"], missing
+    if case == "features_missing_plotdata":
+        return ["plotdata", "--features", missing, "--feature", "rms",
+                "--out", tmp_path / "p.csv"], missing
+    if case == "out_dir_missing_extract":
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
+                   "--sample-rate", 16000, "--name", "a") == 0
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
+        return ["extract", "--manifest", manifest, "--out", out_in_missing_dir], out_in_missing_dir
+    if case == "out_dir_missing_rank":
+        return ["rank", "--features", features, "--out", out_in_missing_dir], out_in_missing_dir
+    if case == "out_dir_missing_evaluate":
+        return [*evaluate, "--features", features, "--out", out_in_missing_dir], out_in_missing_dir
+    if case == "out_dir_missing_plotdata":
+        return ["plotdata", "--features", features, "--feature", "rms",
+                "--out", out_in_missing_dir], out_in_missing_dir
+    if case == "out_dir_is_a_file_synth":
+        return ["synth", "--kind", "pulse", "--out-dir", features], features
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "config_missing", "config_malformed", "manifest_not_utf8", "features_not_utf8",
+    "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
+    "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
+    "out_dir_missing_plotdata", "out_dir_is_a_file_synth",
+])
+def test_bad_input_file_exit_2(tmp_path, capsys, case):
+    argv, path = _bad_input_case(case, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_cli_import_loads_no_scipy():
+    """The feature path is numpy-only: a stray scipy import would add its
+    import time to the start-up of every command."""
+    src = str(Path(voicepd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, voicepd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 class TestFullPipelineDeterminism:

@@ -1,17 +1,22 @@
 """Block-batched pitch tracking and array-based segmentation are checked
 against the per-frame and per-cycle loops they replaced.  The oracles here
 are those loops, kept verbatim apart from names: one rFFT/irFFT pair per
-frame, a list-based width-3 median, and one max |x| per cycle."""
+frame, a list-based width-3 median, and one max |x| per cycle.  The oracle
+ACF keeps the per-frame code's transform length (the next power of two >=
+2 x frame length); the library's shorter 5-smooth length must agree."""
 
 import numpy as np
 import pytest
 
+from voicepd import pitch
 from voicepd.audio_io import AudioSignal, peak_normalize
 from voicepd.errors import ConfigError
 from voicepd.pitch import (
     _BLOCK_FRAMES,
     PitchConfig,
     _median_smooth_runs,
+    _next_fast_len,
+    _normalized_acf,
     estimate_pitch,
     segment_cycles,
     track_pitch,
@@ -187,7 +192,19 @@ CASES = {
                         PitchConfig(f0_min=300.0, f0_max=301.0)),
     "low_threshold": (lambda: gapped(16000), PitchConfig(voicing_threshold=0.0)),
     "short_hop": (lambda: pulse(16000, seed=17), PitchConfig(frame_ms=30.0, hop_ms=3.0)),
+    "pulse_8k": (lambda: pulse(8000, f0=120.0, seed=18), PitchConfig()),
+    "pulse_22k": (lambda: pulse(22050, f0=150.0, jitter=2.0, seed=19), PitchConfig()),
+    # frame_len + lag_max + 1 is 900 = 2^2 3^2 5^2 (no slack in the FFT length)
+    # and 901 (the length jumps to 960)
+    "nfft_exact_smooth": (lambda: pulse(16000, f0=70.0, seed=20), PitchConfig(f0_min=61.7)),
+    "nfft_just_above_smooth": (lambda: pulse(16000, f0=70.0, seed=21),
+                               PitchConfig(f0_min=61.5)),
 }
+
+
+def required_acf_length(fs, config):
+    frame_len, _ = oracle_frame_geometry(fs, config)
+    return frame_len + int(np.floor(fs / config.f0_min)) + 1
 
 
 def test_block_edge_cases_are_exercised():
@@ -197,6 +214,52 @@ def test_block_edge_cases_are_exercised():
     assert frames["ragged_tail"] % _BLOCK_FRAMES != 0
     assert frames["shorter_than_frame"] == 0
     assert frames["pulse_48k_2s"] > 5 * _BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("name,required,nfft", [
+    ("pulse_16k", 907, 960),
+    ("pulse_44k", 2500, 2500),
+    ("nfft_exact_smooth", 900, 900),
+    ("nfft_just_above_smooth", 901, 960),
+])
+def test_acf_transform_length(monkeypatch, name, required, nfft):
+    """Every block is transformed at the smallest 5-smooth length >=
+    frame_len + lag_max + 1, the bound the direct-sum test below checks."""
+    make, cfg = CASES[name]
+    sig = make()
+    assert required_acf_length(sig.sample_rate, cfg) == required
+    lengths = []
+
+    def spy(frames, n, n_lags):
+        lengths.append(n)
+        return _normalized_acf(frames, n, n_lags)
+
+    monkeypatch.setattr(pitch, "_normalized_acf", spy)
+    track_pitch(sig, cfg)
+    assert lengths and set(lengths) == {nfft}
+
+
+def test_next_fast_len_brute_force():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(15) for b in range(10) for c in range(7)
+                    if 2 ** a * 3 ** b * 5 ** c <= 20000)
+    for n in range(1, 5001):
+        assert _next_fast_len(n) == next(m for m in smooth if m >= n), n
+
+
+@pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100, 48000])
+def test_acf_of_minimal_length_equals_direct_sums(fs):
+    """nfft = frame_len + lag_max + 1, the shortest transform that keeps
+    circular wrap-around out of lags 0..lag_max+1."""
+    cfg = PitchConfig()
+    frame_len, _ = oracle_frame_geometry(fs, cfg)
+    n_lags = int(np.floor(fs / cfg.f0_min)) + 2
+    frames = np.random.default_rng(fs).standard_normal((4, frame_len))
+    frames[:, 0] = frames[:, -1] = 1.0  # the wrapped-in term r(frame_len - 1) is x[0] x[-1]
+    got = _normalized_acf(frames, required_acf_length(fs, cfg), n_lags)
+    for row, acf in zip(frames, got):
+        sums = np.array([row[:frame_len - k] @ row[k:] for k in range(n_lags)])
+        np.testing.assert_allclose(acf, sums / sums[0], rtol=0, atol=SCORE_ABS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -224,13 +287,14 @@ def test_segment_cycles_matches_oracle(name):
 
 
 def test_voiced_cases_have_cycles():
-    for name in ("pulse_16k", "pulse_44k", "pulse_48k", "gapped_16k", "ragged_tail"):
+    for name in ("pulse_16k", "pulse_44k", "pulse_48k", "gapped_16k", "ragged_tail",
+                 "pulse_8k", "pulse_22k", "nfft_exact_smooth", "nfft_just_above_smooth"):
         make, cfg = CASES[name]
         sig = make()
         assert len(segment_cycles(sig, track_pitch(sig, cfg), cfg)) > 10, name
 
 
-@pytest.mark.parametrize("fs", [16000, 44100, 48000])
+@pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100, 48000])
 def test_estimate_pitch_matches_oracle(fs):
     rng = np.random.default_rng(fs)
     cfg = PitchConfig()
