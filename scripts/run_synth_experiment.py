@@ -19,6 +19,8 @@ import sys
 from voicepd.classifiers import ALGORITHMS
 from voicepd.cli import main as cli
 
+MIN_PER_CLASS = 6
+
 
 def run(*args):
     code = cli([str(a) for a in args])
@@ -33,6 +35,9 @@ def main():
     parser.add_argument("--algorithm", default="knn", choices=ALGORITHMS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.per_class < MIN_PER_CLASS:
+        # the 25% holdout and 4-fold CV below need 4 training rows per class
+        parser.error(f"--per-class must be at least {MIN_PER_CLASS}, got {args.per_class}")
 
     os.makedirs(args.out_dir, exist_ok=True)
     jitter_by_class = {0: 3.0, 1: 0.0, 2: 1.0}  # 0=Med Off, 1=Healthy, 2=Med On

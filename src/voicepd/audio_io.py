@@ -82,6 +82,10 @@ def load_wav(path: str) -> AudioSignal:
         raise AudioDecodeError(f"not a decodable PCM WAV file: {path!r} ({exc})") from exc
     except EOFError as exc:
         raise AudioDecodeError(f"truncated WAV file: {path!r}") from exc
+    except RuntimeError as exc:
+        # Python 3.11's `wave` raises a bare RuntimeError when a chunk's size
+        # runs past the end of the file
+        raise AudioDecodeError(f"chunk size runs past the end of WAV file: {path!r}") from exc
 
     if sampwidth not in _FULL_SCALE:
         raise AudioDecodeError(

@@ -242,6 +242,13 @@ class GaussianNaiveBayes:
 
 # --- linear one-vs-rest SVM ------------------------------------------------
 
+def _prefix_runs(active: np.ndarray) -> list[tuple[int, int, int]]:
+    """(a, lo, hi) for each run of steps lo..hi-1 on which the first a of the
+    models trained in lockstep are active; such a run shares one set of views."""
+    cuts = [0, *(np.flatnonzero(np.diff(active)) + 1).tolist(), len(active)]
+    return [(int(active[lo]), lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
 class LinearSVM:
     """Primal sub-gradient descent on hinge loss, one binary machine per class."""
 
@@ -294,6 +301,11 @@ class LinearSVM:
         pending = [np.empty(0, dtype=np.int64) for _ in machines]
         W = np.zeros((len(machines), X_pad.shape[2]))
         b = np.zeros(len(machines))
+        margin = np.zeros(len(machines))
+        hit = np.zeros((len(machines), 1), dtype=bool)
+        # per active prefix: the machines' parameters, margins and hit flags
+        views = {a: (W[:a], b[:a], margin[:a], hit[:a], hit[:a, 0])
+                 for a in range(1, len(machines) + 1)}
         # steps run in chunks of one epoch of the largest fit, so the sample
         # schedule in memory stays O(machines x rows) whatever the epoch count
         for start in range(0, int(totals[0]), n_max):
@@ -309,15 +321,23 @@ class LinearSVM:
             decay = 1.0 - eta * lam
             x_steps = X_pad[owner, schedule]
             t_steps = targets[np.arange(len(machines)), schedule]
+            # each step's gain eta * target and its hinge update gain * x
+            g = eta[:, None] * t_steps
+            gx = g[:, :, None] * x_steps
             active = np.count_nonzero(totals > steps[:, None], axis=1)
-            for s, a in enumerate(active):
-                x, target, w = x_steps[s, :a], t_steps[s, :a], W[:a]
-                # vecdot takes each row's dot product in BLAS, as `x @ w` does
-                hit = target * (np.vecdot(x, w) + b[:a]) < 1.0
-                gain = eta[s] * target
-                shrunk = decay[s] * w
-                W[:a] = np.where(hit[:, None], shrunk + gain[:, None] * x, shrunk)
-                b[:a] += np.where(hit, gain, 0.0)
+            for a, lo, hi in _prefix_runs(active):
+                w, bias, m, hit_col, hit = views[a]
+                run = (x_steps[lo:hi, :a], t_steps[lo:hi, :a], g[lo:hi, :a], gx[lo:hi, :a],
+                       decay[lo:hi].tolist())
+                for x, t, gain, grad, dec in zip(*run):
+                    # vecdot takes each row's dot product in BLAS, as `x @ w` does
+                    np.vecdot(x, w, out=m)
+                    m += bias
+                    m *= t
+                    np.less(m, 1.0, out=hit)
+                    w *= dec
+                    np.add(w, grad, out=w, where=hit_col)
+                    np.add(bias, gain, out=bias, where=hit)
         for k, (_, mi, ci, _) in enumerate(machines):
             models[mi].W[ci] = W[k]
             models[mi].b[ci] = b[k]
@@ -361,17 +381,6 @@ def _forward(X, W1, b1, W2, b2):
     return z1, a1, e / e.sum(axis=-1, keepdims=True)
 
 
-def _gradients(X, z1, a1, delta2, W2):
-    """Back-propagate the output error delta2, already divided by the batch size."""
-    delta1 = (delta2 @ np.swapaxes(W2, -1, -2)) * (z1 > 0.0)
-    return {
-        "W1": np.swapaxes(X, -1, -2) @ delta1,
-        "b1": delta1.sum(axis=-2),
-        "W2": np.swapaxes(a1, -1, -2) @ delta2,
-        "b2": delta2.sum(axis=-2),
-    }
-
-
 class NeuralNetwork:
     """input -> hidden (ReLU) -> 3-way softmax, cross-entropy loss,
     mini-batch gradient descent, Glorot-uniform initialization."""
@@ -405,7 +414,9 @@ class NeuralNetwork:
         delta2 = probs.copy()
         delta2[np.arange(n), y] -= 1.0
         delta2 /= n
-        return loss, _gradients(X, z1, a1, delta2, self.W2)
+        delta1 = (delta2 @ self.W2.T) * (z1 > 0.0)
+        return loss, {"W1": X.T @ delta1, "b1": delta1.sum(axis=0),
+                      "W2": a1.T @ delta2, "b2": delta2.sum(axis=0)}
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         return self.fit_many([self], [X], [y])[0]
@@ -419,7 +430,8 @@ class NeuralNetwork:
         every network's epoch is one stacked (M, B, d) step.  A short last
         batch is zero-padded, masked out of the output error and divided by
         its real size, so a network's weights do not depend on the networks
-        trained beside it.
+        trained beside it.  Each epoch gathers its batches once, and a step
+        updates the parameters in place through views.
         """
         if len({(m.hidden, m.lr, m.epochs, m.batch_size) for m in models}) > 1:
             raise ValueError("networks trained together must share hyperparameters")
@@ -453,21 +465,53 @@ class NeuralNetwork:
         real = np.clip(n[:, None] - size * np.arange(n_batches[0]), 1, size)
         rows = np.arange(M)[:, None]
         schedule = np.full((M, n_batches[0] * size), pad)
-        batches = schedule.reshape(M, n_batches[0], size)
+        # (step, network, row) indices of one epoch's batches
+        batches = schedule.reshape(M, n_batches[0], size).transpose(1, 0, 2)
+        # per active prefix: the networks' parameters, biases shaped to add to a
+        # stacked batch, and W2 transposed
+        views = {a: (W1[:a], b1[:a], b1[:a, None, :], W2[:a], b2[:a], b2[:a, None, :],
+                     np.swapaxes(W2[:a], -1, -2)) for a in set(active.tolist())}
+        # only a step where some active network has a short batch needs the pad
+        # mask and the per-network divisor: elsewhere p * 1.0 == p and
+        # p / real == p / size, so skipping them leaves every bit as it was
+        short = ((real.T < size) & (np.arange(M) < active[:, None])).any(axis=1).tolist()
+        divisor = real.T[:, :, None, None]
+        runs = _prefix_runs(active)
         for _ in range(epochs):
             for k, rng in enumerate(rngs):
                 schedule[k, : n[k]] = rng.permutation(n[k])
-            for step, a in enumerate(active):
-                idx = batches[:a, step]
-                xb = X_pad[rows[:a], idx]
-                z1, a1, probs = _forward(xb, W1[:a], b1[:a], W2[:a], b2[:a])
-                delta2 = probs * (idx != pad)[:, :, None] - onehot[rows[:a], idx]
-                delta2 /= real[:a, step, None, None]
-                grads = _gradients(xb, z1, a1, delta2, W2[:a])
-                W1[:a] -= lr * grads["W1"]
-                b1[:a] -= lr * grads["b1"]
-                W2[:a] -= lr * grads["W2"]
-                b2[:a] -= lr * grads["b2"]
+            xb_all = X_pad[rows.T[:, :, None], batches]
+            onehot_all = onehot[rows.T[:, :, None], batches]
+            keep_all = (batches != pad)[..., None]
+            for a, lo, hi in runs:
+                w1, c1, c1_rows, w2, c2, c2_rows, w2_t = views[a]
+                run = (xb_all[lo:hi, :a], np.swapaxes(xb_all[lo:hi, :a], -1, -2),
+                       onehot_all[lo:hi, :a], keep_all[lo:hi, :a], divisor[lo:hi, :a],
+                       short[lo:hi])
+                for xb, xb_t, target, keep, div, is_short in zip(*run):
+                    # forward: hidden ReLU activation, then softmax probabilities
+                    hid = xb @ w1
+                    hid += c1_rows
+                    np.maximum(hid, 0.0, out=hid)
+                    delta2 = hid @ w2
+                    delta2 += c2_rows
+                    delta2 -= delta2.max(axis=-1, keepdims=True)
+                    np.exp(delta2, out=delta2)
+                    delta2 /= delta2.sum(axis=-1, keepdims=True)
+                    # output error over the real rows, divided by their count
+                    if is_short:
+                        delta2 *= keep
+                        delta2 -= target
+                        delta2 /= div
+                    else:
+                        delta2 -= target
+                        delta2 /= size
+                    delta1 = delta2 @ w2_t
+                    delta1 *= hid > 0.0
+                    w1 -= lr * (xb_t @ delta1)
+                    c1 -= lr * delta1.sum(axis=-2)
+                    w2 -= lr * (np.swapaxes(hid, -1, -2) @ delta2)
+                    c2 -= lr * delta2.sum(axis=-2)
             _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
             p_true = probs[rows, np.arange(n_max), labels]
             for k, net in enumerate(nets):

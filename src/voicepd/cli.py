@@ -178,6 +178,11 @@ def cmd_extract(args) -> int:
     cfg = _merge_config(args, _EXTRACT_FIELDS)
     feature_cfg = cfg.feature_config()
     entries = audio_io.load_manifest(args.manifest)
+    sidecar = args.out + ".rejects.csv"
+    # create both outputs before the first recording is decoded, so an --out
+    # that cannot be written fails at once
+    for path in (args.out, sidecar):
+        open_output(path).close()
     rows, labels, rejects = [], [], []
     for entry in entries:
         try:
@@ -192,7 +197,6 @@ def cmd_extract(args) -> int:
     features = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
     dataset = LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64))
     save_feature_csv(args.out, dataset)
-    sidecar = args.out + ".rejects.csv"
     with open_output(sidecar) as fh:
         fh.write("path,reason\n")
         for path, reason in rejects:

@@ -102,19 +102,20 @@ def save_feature_csv(path: str, dataset: LabeledDataset) -> None:
 def load_feature_csv(path: str) -> LabeledDataset:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            # (line number in the file, text) of each non-blank line
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise DataError(f"cannot read feature CSV {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"feature CSV {path!r} is not UTF-8 text: {exc}") from None
     if not lines:
         raise DataError(f"empty feature CSV: {path!r}")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[-1] != "label":
         raise DataError(f"feature CSV {path!r} must end with a `label` column")
     names = header[:-1]
     rows, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(header):
             raise DataError(f"{path!r} line {lineno}: expected {len(header)} fields")
@@ -124,5 +125,10 @@ def load_feature_csv(path: str) -> LabeledDataset:
         except ValueError as exc:
             raise DataError(f"{path!r} line {lineno}: {exc}") from None
     features = np.array(rows) if rows else np.empty((0, len(names)))
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):  # float() accepts nan, inf and 1e999, which extract never writes
+        i, j = bad[0]
+        raise DataError(f"{path!r} line {lines[i + 1][0]}: {names[j]} is {features[i, j]}, "
+                        "not a finite number")
     return LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64),
                           feature_names=names)

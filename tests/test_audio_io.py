@@ -96,6 +96,15 @@ class TestLoadWav:
         with pytest.raises(AudioDecodeError, match="truncat"):
             load_wav(str(path))
 
+    def test_chunk_size_past_end_of_file(self, tmp_path):
+        path = tmp_path / "chunk.wav"
+        write_wav(path, list(range(100)))
+        data = bytearray(path.read_bytes())
+        data[16:20] = bytes([0x10, 0x00, 0x67, 0x00])  # `fmt ` chunk size 0x670010
+        path.write_bytes(bytes(data))
+        with pytest.raises(AudioDecodeError, match="past the end"):
+            load_wav(str(path))
+
     @given(ints=st.lists(st.integers(-32768, 32767), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_within_one_lsb(self, ints, tmp_path_factory):

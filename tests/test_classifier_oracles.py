@@ -1,5 +1,6 @@
 """Array and lockstep classifier code checked against the loop versions it
-replaced, which live on here as oracles.
+replaced, which live on here as oracles, and the in-place lockstep trainers
+checked bit for bit against the first lockstep code.
 
 Trees and kNN outputs must be equal, SVM weights bit-identical, and NN
 weights and loss curves equal when every mini-batch is full.  A short last
@@ -142,6 +143,130 @@ def oracle_nn(X, y, hidden, lr, epochs, batch_size, seed):
                 p[name] -= lr * grads[name]
         history.append(_oracle_loss_and_gradients(X, y, p)[0])
     return p, history
+
+
+def oracle_lockstep_svm(models, Xs, ys):
+    """The first lockstep trainer: every machine takes step t together, and
+    a step works on fresh arrays, with np.where choosing between the
+    shrunk and the updated weights."""
+    lam, lr0 = models[0].lam, models[0].lr0
+    machines = []  # (total steps, model index, class index, row count)
+    for mi, (model, X, y) in enumerate(zip(models, Xs, ys)):
+        model.classes_ = np.unique(y)
+        model.W = np.zeros((len(model.classes_), X.shape[1]))
+        model.b = np.zeros(len(model.classes_))
+        machines += [(model.epochs * len(X), mi, ci, len(X))
+                     for ci in range(len(model.classes_))]
+    machines.sort(key=lambda m: -m[0])
+    totals = np.array([m[0] for m in machines])
+    n_max = max(len(X) for X in Xs)
+    X_pad = np.zeros((len(Xs), n_max, Xs[0].shape[1]))
+    targets = np.zeros((len(machines), n_max))
+    for mi, X in enumerate(Xs):
+        X_pad[mi, : len(X)] = X
+    for k, (_, mi, ci, n) in enumerate(machines):
+        targets[k, :n] = np.where(np.asarray(ys[mi]) == models[mi].classes_[ci], 1.0, -1.0)
+    owner = np.array([m[1] for m in machines])
+    rngs = [np.random.default_rng(models[mi].seed + ci) for _, mi, ci, _ in machines]
+    pending = [np.empty(0, dtype=np.int64) for _ in machines]
+    W = np.zeros((len(machines), X_pad.shape[2]))
+    b = np.zeros(len(machines))
+    for start in range(0, int(totals[0]), n_max):
+        steps = np.arange(start, min(start + n_max, int(totals[0])))
+        schedule = np.zeros((len(steps), len(machines)), dtype=np.int64)
+        for k, (total, _, _, n) in enumerate(machines):
+            while len(pending[k]) < len(steps) and start + len(pending[k]) < total:
+                pending[k] = np.concatenate([pending[k], rngs[k].permutation(n)])
+            take = pending[k][: len(steps)]
+            schedule[: len(take), k] = take
+            pending[k] = pending[k][len(take):]
+        eta = lr0 / (1.0 + lr0 * lam * (steps + 1.0))
+        decay = 1.0 - eta * lam
+        x_steps = X_pad[owner, schedule]
+        t_steps = targets[np.arange(len(machines)), schedule]
+        active = np.count_nonzero(totals > steps[:, None], axis=1)
+        for s, a in enumerate(active):
+            x, target, w = x_steps[s, :a], t_steps[s, :a], W[:a]
+            hit = target * (np.vecdot(x, w) + b[:a]) < 1.0
+            gain = eta[s] * target
+            shrunk = decay[s] * w
+            W[:a] = np.where(hit[:, None], shrunk + gain[:, None] * x, shrunk)
+            b[:a] += np.where(hit, gain, 0.0)
+    for k, (_, mi, ci, _) in enumerate(machines):
+        models[mi].W[ci] = W[k]
+        models[mi].b[ci] = b[k]
+    return models
+
+
+def _lockstep_forward(X, W1, b1, W2, b2):
+    z1 = X @ W1 + b1[..., None, :]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ W2 + b2[..., None, :]
+    z2 = z2 - z2.max(axis=-1, keepdims=True)
+    e = np.exp(z2)
+    return z1, a1, e / e.sum(axis=-1, keepdims=True)
+
+
+def _lockstep_gradients(X, z1, a1, delta2, W2):
+    delta1 = (delta2 @ np.swapaxes(W2, -1, -2)) * (z1 > 0.0)
+    return {
+        "W1": np.swapaxes(X, -1, -2) @ delta1,
+        "b1": delta1.sum(axis=-2),
+        "W2": np.swapaxes(a1, -1, -2) @ delta2,
+        "b2": delta2.sum(axis=-2),
+    }
+
+
+def oracle_lockstep_nn(models, Xs, ys):
+    """The first lockstep trainer: batch k of every network is one stacked
+    step on freshly gathered arrays, always masked and divided per network."""
+    order = sorted(range(len(models)), key=lambda i: -len(Xs[i]))
+    nets = [models[i] for i in order]
+    n = np.array([len(Xs[i]) for i in order])
+    lr, epochs, size = nets[0].lr, nets[0].epochs, nets[0].batch_size
+    M, n_max, d = len(nets), int(n[0]), Xs[0].shape[1]
+    pad = n_max
+    X_pad = np.zeros((M, n_max + 1, d))
+    onehot = np.zeros((M, n_max + 1, 3))
+    labels = np.zeros((M, n_max), dtype=np.int64)
+    rngs = []
+    for k, (i, net) in enumerate(zip(order, nets)):
+        y = np.asarray(ys[i], dtype=np.int64)
+        X_pad[k, : n[k]] = Xs[i]
+        onehot[k, np.arange(n[k]), y] = 1.0
+        labels[k, : n[k]] = y
+        rngs.append(np.random.default_rng(net.seed))
+        net.init_params(d, rngs[-1])
+        net.loss_history = []
+    W1, b1, W2, b2 = (np.stack([getattr(net, p) for net in nets])
+                      for p in ("W1", "b1", "W2", "b2"))
+    n_batches = -(-n // size)
+    active = np.count_nonzero(n_batches > np.arange(n_batches[0])[:, None], axis=1)
+    real = np.clip(n[:, None] - size * np.arange(n_batches[0]), 1, size)
+    rows = np.arange(M)[:, None]
+    schedule = np.full((M, n_batches[0] * size), pad)
+    batches = schedule.reshape(M, n_batches[0], size)
+    for _ in range(epochs):
+        for k, rng in enumerate(rngs):
+            schedule[k, : n[k]] = rng.permutation(n[k])
+        for step, a in enumerate(active):
+            idx = batches[:a, step]
+            xb = X_pad[rows[:a], idx]
+            z1, a1, probs = _lockstep_forward(xb, W1[:a], b1[:a], W2[:a], b2[:a])
+            delta2 = probs * (idx != pad)[:, :, None] - onehot[rows[:a], idx]
+            delta2 /= real[:a, step, None, None]
+            grads = _lockstep_gradients(xb, z1, a1, delta2, W2[:a])
+            W1[:a] -= lr * grads["W1"]
+            b1[:a] -= lr * grads["b1"]
+            W2[:a] -= lr * grads["W2"]
+            b2[:a] -= lr * grads["b2"]
+        _, _, probs = _lockstep_forward(X_pad[:, :n_max], W1, b1, W2, b2)
+        p_true = probs[rows, np.arange(n_max), labels]
+        for k, net in enumerate(nets):
+            net.loss_history.append(float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))))
+    for k, net in enumerate(nets):
+        net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
+    return models
 
 
 def oracle_knn(Xtr, ytr, k, Xq):
@@ -315,6 +440,53 @@ class TestNeuralNetworkOracle:
 
     def test_short_batches_within_tolerance(self):
         self._check((61, 62, 68), 8, NN_SHORT_BATCH_TOL)
+
+
+def lockstep_cases():
+    """(name, fits) of the shapes the lockstep trainers must match bit for bit."""
+    uneven = uneven_fits()
+    X, y = uneven[1]
+    two_class = [(X[y != 1], y[y != 1])]
+    return {
+        "uneven": uneven,
+        "full_batches": uneven_fits(sizes=(64, 72, 80), seed=1),
+        "two_class": two_class,
+        "with_two_class": [uneven[0], two_class[0], uneven[2]],
+        # evaluate-large: five 272-row folds with full batches of 8 and a
+        # 340-row holdout fit whose last batch has 4 rows
+        "evaluate_large": uneven_fits(sizes=(272,) * 5 + (340,), d=8, seed=6),
+    }
+
+
+class TestLockstepOracle:
+    """The trainers against the first lockstep code, on the same shapes."""
+
+    @pytest.mark.parametrize("case", list(lockstep_cases()))
+    def test_svm_bit_identical(self, case):
+        fits = lockstep_cases()[case]
+        Xs, ys = [X for X, _ in fits], [y for _, y in fits]
+        epochs = 2 if case == "evaluate_large" else 12
+        models = [LinearSVM(epochs=epochs, seed=4) for _ in fits]
+        expected = [LinearSVM(epochs=epochs, seed=4) for _ in fits]
+        LinearSVM.fit_many(models, Xs, ys)
+        oracle_lockstep_svm(expected, Xs, ys)
+        for model, want in zip(models, expected):
+            assert_bit_equal(model.W, want.W)
+            assert_bit_equal(model.b, want.b)
+
+    @pytest.mark.parametrize("case", list(lockstep_cases()))
+    def test_nn_bit_identical(self, case):
+        fits = lockstep_cases()[case]
+        Xs, ys = [X for X, _ in fits], [y for _, y in fits]
+        epochs = 3 if case == "evaluate_large" else 12
+        make = lambda: NeuralNetwork(hidden=7, epochs=epochs, batch_size=8, seed=3)
+        models, expected = [make() for _ in fits], [make() for _ in fits]
+        NeuralNetwork.fit_many(models, Xs, ys)
+        oracle_lockstep_nn(expected, Xs, ys)
+        for model, want in zip(models, expected):
+            for name in ("W1", "b1", "W2", "b2"):
+                assert_bit_equal(getattr(model, name), getattr(want, name))
+            assert_bit_equal(model.loss_history, want.loss_history)
 
 
 class TestBatchIndependence:

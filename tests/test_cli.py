@@ -94,6 +94,24 @@ class TestExtractCommand:
         rejects = (tmp_path / "f.csv.rejects.csv").read_text().splitlines()
         assert len(rejects) == 2 and "quiet.wav" in rejects[1]
 
+    def test_corrupt_chunk_size_goes_to_sidecar(self, tmp_path):
+        # a `fmt ` chunk size that runs past the end of the file makes
+        # Python 3.11's `wave` raise a bare RuntimeError
+        for name in ("good", "bad"):
+            assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
+                       "--sample-rate", 16000, "--name", name) == 0
+        bad = tmp_path / "bad.wav"
+        data = bytearray(bad.read_bytes())
+        data[16:20] = bytes([0x10, 0x00, 0x67, 0x00])
+        bad.write_bytes(bytes(data))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"{bad},0\n{tmp_path / 'good.wav'},1\n")
+        out = tmp_path / "f.csv"
+        assert run("extract", "--manifest", manifest, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 2
+        rejects = (tmp_path / "f.csv.rejects.csv").read_text().splitlines()
+        assert len(rejects) == 2 and rejects[1].startswith(f"{bad},")
+
     def test_missing_manifest_exit_2(self, tmp_path):
         assert run("extract", "--manifest", tmp_path / "none.csv", "--out", tmp_path / "f.csv") == 2
 
@@ -262,6 +280,12 @@ class TestRunConfig:
         assert not out.exists()
 
 
+_NONFINITE = {"features_nan_evaluate": ("nan", "evaluate"),
+              "features_inf_rank": ("inf", "rank"),
+              "features_neg_inf_evaluate": ("-inf", "evaluate"),
+              "features_overflow_rank": ("1e999", "rank")}
+
+
 def _bad_input_case(case, tmp_path):
     """(argv, path the message must name) for one unreadable or unwritable file."""
     from voicepd.data import save_feature_csv
@@ -299,6 +323,18 @@ def _bad_input_case(case, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
         return ["extract", "--manifest", manifest, "--out", out_in_missing_dir], out_in_missing_dir
+    if case in _NONFINITE:
+        # a cell that float() parses but no feature can hold, on line 5 of the
+        # file once a blank line is inserted after the header
+        value, command = _NONFINITE[case]
+        bad = tmp_path / "nonfinite.csv"
+        lines = features.read_text().splitlines()
+        lines[3] = ",".join([lines[3].split(",")[0], value, *lines[3].split(",")[2:]])
+        lines.insert(1, "")
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "rank":
+            return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
+        return [*evaluate, "--features", bad], bad
     if case == "out_dir_missing_rank":
         return ["rank", "--features", features, "--out", out_in_missing_dir], out_in_missing_dir
     if case == "out_dir_missing_evaluate":
@@ -316,6 +352,7 @@ def _bad_input_case(case, tmp_path):
     "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
     "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
     "out_dir_missing_plotdata", "out_dir_is_a_file_synth",
+    *_NONFINITE,
 ])
 def test_bad_input_file_exit_2(tmp_path, capsys, case):
     argv, path = _bad_input_case(case, tmp_path)
@@ -323,6 +360,27 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    if case in _NONFINITE:
+        assert "line 5:" in err and "not a finite number" in err
+
+
+def test_extract_unwritable_out_decodes_nothing(tmp_path, capsys, monkeypatch):
+    """A bad --out fails before the first recording is decoded."""
+    from voicepd import audio_io
+    assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
+               "--sample-rate", 16000, "--name", "a") == 0
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
+    calls = []
+    load_wav = audio_io.load_wav
+    monkeypatch.setattr(audio_io, "load_wav", lambda path: calls.append(path) or load_wav(path))
+    out = tmp_path / "no_such_dir" / "f.csv"
+    assert run("extract", "--manifest", manifest, "--out", out) == 2
+    assert str(out) in capsys.readouterr().err
+    assert calls == []
+    # the same manifest with a writable --out decodes its one recording
+    assert run("extract", "--manifest", manifest, "--out", tmp_path / "f.csv") == 0
+    assert calls == [str(tmp_path / "a.wav")]
 
 
 def test_cli_import_loads_no_scipy():

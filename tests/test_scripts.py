@@ -1,0 +1,47 @@
+"""Smoke tests: each script under scripts/ runs end to end in a subprocess."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import voicepd
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    src = str(Path(voicepd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_blob_benchmark_prints_one_row_per_algorithm():
+    done = run_script("run_blob_benchmark.py", "--seed", 1)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split()[0] == "algorithm"
+    assert [line.split()[0] for line in lines[1:]] == ["knn", "tree", "nb", "svm", "nn"]
+
+
+def test_synth_experiment_writes_every_stage(tmp_path):
+    done = run_script("run_synth_experiment.py", "--out-dir", tmp_path, "--per-class", 6,
+                      "--algorithm", "nb")
+    assert done.returncode == 0, done.stderr
+    assert "pooled CV accuracy (nb)" in done.stdout
+    assert len((tmp_path / "features.csv").read_text().splitlines()) == 1 + 18
+    assert len((tmp_path / "ranked.csv").read_text().splitlines()) == 1 + 19
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["model"] == "nb" and len(report["cv"]["folds"]) == 4
+
+
+def test_synth_experiment_rejects_too_few_per_class(tmp_path):
+    # 4-fold CV after a 25% holdout needs 6 recordings per class
+    out = tmp_path / "run"
+    done = run_script("run_synth_experiment.py", "--out-dir", out, "--per-class", 5)
+    assert done.returncode == 2
+    assert "--per-class must be at least 6, got 5" in done.stderr
+    assert not out.exists()
