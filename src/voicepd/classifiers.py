@@ -6,17 +6,12 @@ fitted Standardizer) and are deterministic given (data, hyperparams, seed).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset, Standardizer
 from .errors import DataError
-
-ALGORITHMS = ("knn", "tree", "nb", "svm", "nn")
-
-MODEL_FORMAT_VERSION = 1
 
 
 # --- k-nearest neighbors ---------------------------------------------------
@@ -64,17 +59,6 @@ class KNearestNeighbors:
             sums = {c: float(near[labels == c].sum()) for c in best}
             out[i] = min(best, key=lambda c: (sums[c], c))
         return out
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "X": self.X.tolist(), "y": self.y.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KNearestNeighbors":
-        m = cls(k=d["k"])
-        m.X = np.array(d["X"])
-        m.y = np.array(d["y"], dtype=np.int64)
-        m.classes_ = np.unique(m.y)
-        return m
 
 
 # --- CART decision tree ----------------------------------------------------
@@ -164,15 +148,6 @@ class DecisionTree:
         scores = self.predict_scores(X)
         return np.argmax(scores, axis=1)  # argmax takes the lower label on ties
 
-    def to_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "root": self.root}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        m = cls(max_depth=d["max_depth"], min_leaf=d["min_leaf"])
-        m.root = d["root"]
-        return m
-
 
 # --- Gaussian naive Bayes --------------------------------------------------
 
@@ -220,24 +195,6 @@ class GaussianNaiveBayes:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self._log_joint(X), axis=1)]
-
-    def to_dict(self) -> dict:
-        return {
-            "var_floor": self.var_floor,
-            "classes": self.classes_.tolist(),
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "vars": self.vars.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianNaiveBayes":
-        m = cls(var_floor=d["var_floor"])
-        m.classes_ = np.array(d["classes"], dtype=np.int64)
-        m.priors = np.array(d["priors"])
-        m.means = np.array(d["means"])
-        m.vars = np.array(d["vars"])
-        return m
 
 
 # --- linear one-vs-rest SVM ------------------------------------------------
@@ -352,22 +309,6 @@ class LinearSVM:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_scores(X), axis=1)
-
-    def to_dict(self) -> dict:
-        return {
-            "lam": self.lam, "epochs": self.epochs, "lr0": self.lr0, "seed": self.seed,
-            "classes": self.classes_.tolist(), "W": self.W.tolist(), "b": self.b.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSVM":
-        m = cls(lam=d["lam"], epochs=d["epochs"], lr0=d["lr0"], seed=d["seed"])
-        m.classes_ = np.array(d["classes"], dtype=np.int64)
-        m.W = np.array(d["W"])
-        m.b = np.array(d["b"])
-        return m
-
-
 # --- 3-layer neural network ------------------------------------------------
 
 def _forward(X, W1, b1, W2, b2):
@@ -518,6 +459,10 @@ class NeuralNetwork:
                 net.loss_history.append(float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))))
         for k, net in enumerate(nets):
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
+        for i, net in enumerate(models):
+            final = (net.loss_history[-1:], net.W1, net.b1, net.W2, net.b2)
+            if not all(np.isfinite(p).all() for p in final):
+                raise DataError(f"nn training diverged on fit {i + 1} of {M}; lower nn_lr")
         return models
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
@@ -527,50 +472,18 @@ class NeuralNetwork:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_scores(X), axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden, "lr": self.lr, "epochs": self.epochs,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "W1": self.W1.tolist(), "b1": self.b1.tolist(),
-            "W2": self.W2.tolist(), "b2": self.b2.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NeuralNetwork":
-        m = cls(hidden=d["hidden"], lr=d["lr"], epochs=d["epochs"],
-                batch_size=d["batch_size"], seed=d["seed"])
-        m.W1 = np.array(d["W1"])
-        m.b1 = np.array(d["b1"])
-        m.W2 = np.array(d["W2"])
-        m.b2 = np.array(d["b2"])
-        return m
-
-
-_MODEL_CLASSES = {
-    "knn": KNearestNeighbors,
-    "tree": DecisionTree,
-    "nb": GaussianNaiveBayes,
-    "svm": LinearSVM,
-    "nn": NeuralNetwork,
+# algorithm -> (model class, RunConfig field -> constructor argument, whether
+# the model takes the seed); an argument left out keeps the constructor default
+REGISTRY = {
+    "knn": (KNearestNeighbors, {"knn_k": "k"}, False),
+    "tree": (DecisionTree, {"tree_max_depth": "max_depth", "tree_min_leaf": "min_leaf"}, False),
+    "nb": (GaussianNaiveBayes, {"nb_var_floor": "var_floor"}, False),
+    "svm": (LinearSVM, {"svm_lambda": "lam", "svm_epochs": "epochs"}, True),
+    "nn": (NeuralNetwork, {"nn_hidden": "hidden", "nn_lr": "lr", "nn_epochs": "epochs",
+                           "nn_batch": "batch_size"}, True),
 }
-
-
-def _make_model(algorithm: str, hyperparams: dict, seed: int):
-    hp = dict(hyperparams or {})
-    if algorithm == "knn":
-        return KNearestNeighbors(k=hp.get("k", 5))
-    if algorithm == "tree":
-        return DecisionTree(max_depth=hp.get("max_depth", 8), min_leaf=hp.get("min_leaf", 1))
-    if algorithm == "nb":
-        return GaussianNaiveBayes(var_floor=hp.get("var_floor", 1e-9))
-    if algorithm == "svm":
-        return LinearSVM(lam=hp.get("lam", 1e-3), epochs=hp.get("epochs", 200),
-                         lr0=hp.get("lr0", 1.0), seed=seed)
-    if algorithm == "nn":
-        return NeuralNetwork(hidden=hp.get("hidden", 16), lr=hp.get("lr", 0.01),
-                             epochs=hp.get("epochs", 500),
-                             batch_size=hp.get("batch_size", 8), seed=seed)
-    raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+ALGORITHMS = tuple(REGISTRY)
 
 
 @dataclass
@@ -580,8 +493,6 @@ class TrainedModel:
     algorithm: str
     model: object
     standardizer: Standardizer
-    seed: int
-    feature_names: list[str] = field(default_factory=list)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -590,31 +501,6 @@ class TrainedModel:
                 f"expected {len(self.standardizer.mean)} features, got {features.shape[1]}"
             )
         return self.model.predict(self.standardizer.transform(features))
-
-    def to_json(self) -> str:
-        doc = {
-            "version": MODEL_FORMAT_VERSION,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "feature_names": self.feature_names,
-            "standardization": self.standardizer.to_dict(),
-            "parameters": self.model.to_dict(),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        doc = json.loads(text)
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {doc.get('version')}")
-        model = _MODEL_CLASSES[doc["algorithm"]].from_dict(doc["parameters"])
-        return cls(
-            algorithm=doc["algorithm"],
-            model=model,
-            standardizer=Standardizer.from_dict(doc["standardization"]),
-            seed=doc["seed"],
-            feature_names=doc["feature_names"],
-        )
 
 
 def train(algorithm: str, dataset: LabeledDataset,
@@ -627,10 +513,14 @@ def train_many(algorithm: str, datasets: list[LabeledDataset],
                hyperparams: dict | None = None, seed: int = 0) -> list[TrainedModel]:
     """`train` on each dataset; families with a `fit_many` train all fits in
     lockstep, which gives each model the parameters it gets when trained alone."""
+    if algorithm not in REGISTRY:
+        raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if any(len(ds) == 0 for ds in datasets):
         raise DataError("cannot train on an empty dataset")
+    cls, _, takes_seed = REGISTRY[algorithm]
+    kwargs = {**(hyperparams or {}), **({"seed": seed} if takes_seed else {})}
     standardizers = [Standardizer().fit(ds.features) for ds in datasets]
-    models = [_make_model(algorithm, hyperparams or {}, seed) for _ in datasets]
+    models = [cls(**kwargs) for _ in datasets]
     Xs = [st.transform(ds.features) for st, ds in zip(standardizers, datasets)]
     ys = [ds.labels for ds in datasets]
     fit_many = getattr(type(models[0]), "fit_many", None)
@@ -639,8 +529,4 @@ def train_many(algorithm: str, datasets: list[LabeledDataset],
     else:
         for model, X, y in zip(models, Xs, ys):
             model.fit(X, y)
-    return [
-        TrainedModel(algorithm=algorithm, model=model, standardizer=st, seed=seed,
-                     feature_names=list(ds.feature_names))
-        for model, st, ds in zip(models, standardizers, datasets)
-    ]
+    return [TrainedModel(algorithm, model, st) for model, st in zip(models, standardizers)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio_io, evaluation
-from .classifiers import ALGORITHMS
+from .classifiers import ALGORITHMS, REGISTRY
 from .data import LabeledDataset, load_feature_csv, open_output, save_feature_csv
 from .errors import ConfigError, DataError, VoicePDError
 from .features import FEATURE_NAMES, FeatureConfig, extract_all
@@ -33,18 +33,21 @@ EXIT_INTERNAL = 3
 _KIND_ALIASES = {"pulse": "pulse_train", "noise": "white_noise"}
 
 # accepted Python types per RunConfig annotation, lower bounds of int fields,
-# and the float fields that must be > 0
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
-                "int | None": (int, type(None))}
-_MINIMUMS = {"bins": 2, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1, "tree_min_leaf": 1,
-             "svm_epochs": 1, "nn_hidden": 1, "nn_epochs": 1, "nn_batch": 1}
+# and the float fields that must be > 0; None passes both bounds
+_FIELD_TYPES = {"int": (int,), "float": (int, float),
+                "int | None": (int, type(None)), "float | None": (int, float, type(None))}
+_MINIMUMS = {"seed": 0, "bins": 2, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1,
+             "tree_min_leaf": 1, "svm_epochs": 1, "nn_hidden": 1, "nn_epochs": 1, "nn_batch": 1}
 _POSITIVE = ("frame_ms", "hop_ms", "f0_min", "sure_threshold", "svm_lambda", "nn_lr",
              "nb_var_floor")
 
 
 @dataclass
 class RunConfig:
-    """Every tunable of the pipeline; round-trips through a JSON file."""
+    """Every tunable of the pipeline, read from a JSON file and flags.
+
+    A model hyperparameter left at None takes its constructor's default.
+    """
 
     seed: int = 0
     frame_ms: float = 40.0
@@ -55,23 +58,18 @@ class RunConfig:
     sure_threshold: float = 0.2
     bins: int = 10
     top_k: int | None = None
-    algorithm: str = "knn"
     test_fraction: float = 0.15
     cv_k: int = 10
-    knn_k: int = 5
-    tree_max_depth: int = 8
-    tree_min_leaf: int = 1
-    nb_var_floor: float = 1e-9
-    svm_lambda: float = 1e-3
-    svm_epochs: int = 200
-    nn_hidden: int = 16
-    nn_lr: float = 0.01
-    nn_epochs: int = 500
-    nn_batch: int = 8
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=2)
+    knn_k: int | None = None
+    tree_max_depth: int | None = None
+    tree_min_leaf: int | None = None
+    nb_var_floor: float | None = None
+    svm_lambda: float | None = None
+    svm_epochs: int | None = None
+    nn_hidden: int | None = None
+    nn_lr: float | None = None
+    nn_epochs: int | None = None
+    nn_batch: int | None = None
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -102,11 +100,13 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"config {f.name} must be finite, got {value!r}")
         for name, low in _MINIMUMS.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"config {name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"config {name} must be >= {low}, got {value}")
         for name in _POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"config {name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"config {name} must be > 0, got {value}")
         if self.f0_min >= self.f0_max:
             raise ConfigError(f"config f0_min must be < f0_max, got {self.f0_min} >= {self.f0_max}")
         if not 0.0 <= self.voicing_threshold <= 1.0:
@@ -125,15 +125,11 @@ class RunConfig:
             sure_threshold=self.sure_threshold,
         )
 
-    def hyperparams(self) -> dict:
-        return {
-            "knn": {"k": self.knn_k},
-            "tree": {"max_depth": self.tree_max_depth, "min_leaf": self.tree_min_leaf},
-            "nb": {"var_floor": self.nb_var_floor},
-            "svm": {"lam": self.svm_lambda, "epochs": self.svm_epochs},
-            "nn": {"hidden": self.nn_hidden, "lr": self.nn_lr,
-                   "epochs": self.nn_epochs, "batch_size": self.nn_batch},
-        }[self.algorithm]
+    def hyperparams(self, algorithm: str) -> dict:
+        """Constructor arguments of `algorithm`'s model from the fields that are set."""
+        fields = REGISTRY[algorithm][1]
+        return {arg: getattr(self, name) for name, arg in fields.items()
+                if getattr(self, name) is not None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,16 +140,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser, fields: list[str]) -> None:
-    flag_types = {f.name: f for f in dataclasses.fields(RunConfig)}
+    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     p.add_argument("--config", help="JSON config file providing defaults")
     for name in fields:
-        f = flag_types[name]
-        typ = {int: int, float: float, str: str}.get(type(f.default), None)
-        if name == "top_k":
-            p.add_argument("--top-k", dest="top_k", type=int, default=None)
-        else:
-            p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           type=typ or float, default=None)
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                       type=int if annotations[name].startswith("int") else float)
 
 
 def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
@@ -169,9 +160,7 @@ def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
 _EXTRACT_FIELDS = ["seed", "frame_ms", "hop_ms", "f0_min", "f0_max",
                    "voicing_threshold", "sure_threshold"]
 _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
-                "knn_k", "tree_max_depth", "tree_min_leaf", "nb_var_floor",
-                "svm_lambda", "svm_epochs", "nn_hidden", "nn_lr", "nn_epochs",
-                "nn_batch"]
+                *(name for _, fields, _ in REGISTRY.values() for name in fields)]
 
 
 def cmd_extract(args) -> int:
@@ -223,12 +212,11 @@ def cmd_rank(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _merge_config(args, _EVAL_FIELDS)
-    cfg.algorithm = args.algorithm
     dataset = load_feature_csv(args.features)
     report = evaluation.run_experiment(
-        dataset, cfg.algorithm, seed=cfg.seed,
+        dataset, args.algorithm, seed=cfg.seed,
         test_fraction=cfg.test_fraction, cv_k=cfg.cv_k,
-        hyperparams=cfg.hyperparams(), bins=cfg.bins, top_k=cfg.top_k,
+        hyperparams=cfg.hyperparams(args.algorithm), bins=cfg.bins, top_k=cfg.top_k,
     )
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:

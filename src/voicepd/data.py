@@ -76,13 +76,6 @@ class Standardizer:
             raise DataError("standardizer not fitted")
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
-
 
 def open_output(path: str):
     """Open a text file for writing; a path that cannot be created is a DataError."""

@@ -10,6 +10,7 @@ to the programmed value in closed form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,14 +36,27 @@ class SynthSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("f0", "duration_s", "jitter_pct", "shimmer_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
-        if self.kind in ("pulse_train", "sine") and self.f0 >= self.sample_rate / 2:
-            raise ConfigError(f"f0 {self.f0} must be below Nyquist {self.sample_rate / 2}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.kind in ("pulse_train", "sine"):
+            if self.f0 <= 0:
+                raise ConfigError(f"f0 must be positive, got {self.f0}")
+            if self.f0 >= self.sample_rate / 2:
+                raise ConfigError(f"f0 {self.f0} must be below Nyquist {self.sample_rate / 2}")
         if self.jitter_pct < 0 or self.shimmer_db < 0:
             raise ConfigError("jitter_pct and shimmer_db must be non-negative")
+        # the shortest jittered period must span a sample, so onsets strictly increase
+        if (self.kind == "pulse_train"
+                and self.sample_rate / self.f0 * (1.0 - 3.0 * self.jitter_pct / 200.0) < 1.0):
+            raise ConfigError(f"jitter_pct {self.jitter_pct} can make a period shorter "
+                              "than one sample")
 
 
 @dataclass

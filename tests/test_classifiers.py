@@ -5,7 +5,6 @@ from voicepd.classifiers import (
     ALGORITHMS,
     KNearestNeighbors,
     NeuralNetwork,
-    TrainedModel,
     train,
 )
 from voicepd.data import LabeledDataset
@@ -151,19 +150,3 @@ class TestDeterminismAndInvariance:
         p1 = train(algorithm, blobs, seed=4).predict(blobs.features)
         p2 = train(algorithm, permuted, seed=4).predict(blobs.features)
         np.testing.assert_array_equal(np.array([perm[int(l)] for l in p1]), p2)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_json_roundtrip_preserves_predictions(self, blobs, algorithm):
-        model = train(algorithm, blobs, seed=6)
-        restored = TrainedModel.from_json(model.to_json())
-        np.testing.assert_array_equal(
-            model.predict(blobs.features), restored.predict(blobs.features)
-        )
-
-    def test_version_checked(self):
-        model = train("nb", gen_blobs(4, seed=0), seed=0)
-        doc = model.to_json().replace('"version": 1', '"version": 99')
-        with pytest.raises(DataError, match="version"):
-            TrainedModel.from_json(doc)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import voicepd
-from voicepd.cli import RunConfig, main
+from voicepd.classifiers import REGISTRY
+from voicepd.cli import RunConfig, build_parser, main
 from voicepd.features import FEATURE_NAMES
 
 EXPECTED_HEADER = ",".join(FEATURE_NAMES) + ",label"
@@ -52,6 +55,23 @@ class TestSynthCommand:
 
     def test_usage_error_exit_1(self):
         assert run("synth", "--kind", "triangle", "--out-dir", "/tmp/x") == 1
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--f0", -5], "f0 must be positive"),
+        (["--f0", 0], "f0 must be positive"),
+        (["--f0", "nan"], "f0 must be finite"),
+        (["--kind", "noise", "--f0", "inf"], "f0 must be finite"),
+        (["--duration", "nan"], "duration_s must be finite"),
+        (["--shimmer", "inf"], "shimmer_db must be finite"),
+        (["--jitter", "1e308"], "shorter than one sample"),
+        (["--jitter", 70], "shorter than one sample"),
+        (["--seed", -1], "seed must be non-negative"),
+    ])
+    def test_invalid_spec_exit_2(self, tmp_path, capsys, flags, message):
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.1,
+                   "--sample-rate", 8000, "--name", "x", *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.wav").exists()
 
 
 class TestExtractCommand:
@@ -160,6 +180,18 @@ class TestEvaluateCommand:
         assert run("evaluate", "--features", path, "--algorithm", "knn") == 2
         assert "no rows" in capsys.readouterr().err
 
+    def test_nn_divergence_exit_2(self, tmp_path, capsys):
+        from voicepd.data import save_feature_csv
+        from voicepd.synth import gen_blobs
+        path = tmp_path / "blobs.csv"
+        save_feature_csv(str(path), gen_blobs(10, seed=0))
+        out = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            assert run("evaluate", "--features", path, "--algorithm", "nn", "--cv-k", 3,
+                       "--nn-lr", "1e308", "--nn-epochs", 2, "--out", out) == 2
+        assert "nn training diverged on fit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_identical_json(self, tmp_path):
         path = self._blob_csv(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -199,7 +231,8 @@ class TestRunConfig:
     def test_roundtrip_through_file(self, tmp_path):
         cfg = RunConfig(seed=9, bins=7, top_k=4, nn_hidden=32, f0_min=70.0)
         path = tmp_path / "cfg.json"
-        cfg.to_file(str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dataclasses.asdict(cfg), fh)
         assert RunConfig.from_file(str(path)) == cfg
 
     def test_cli_honors_config_file(self, tmp_path):
@@ -209,7 +242,8 @@ class TestRunConfig:
         save_feature_csv(str(features), gen_blobs((22, 28, 30), seed=5))
         cfg = RunConfig(seed=11, cv_k=5)
         cfg_path = tmp_path / "cfg.json"
-        cfg.to_file(str(cfg_path))
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(dataclasses.asdict(cfg), fh)
         out = tmp_path / "r.json"
         assert run("evaluate", "--features", features, "--algorithm", "nb",
                    "--config", cfg_path, "--out", out) == 0
@@ -223,7 +257,8 @@ class TestRunConfig:
         features = tmp_path / "f.csv"
         save_feature_csv(str(features), gen_blobs((22, 28, 30), seed=5))
         cfg_path = tmp_path / "cfg.json"
-        RunConfig(seed=11).to_file(str(cfg_path))
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(dataclasses.asdict(RunConfig(seed=11)), fh)
         out = tmp_path / "r.json"
         assert run("evaluate", "--features", features, "--algorithm", "nb",
                    "--config", cfg_path, "--seed", 99, "--out", out) == 0
@@ -247,6 +282,9 @@ class TestRunConfig:
         ({"nn_lr": float("inf")}, [], "nn_lr must be finite"),
         ({"hop_ms": 0}, [], "hop_ms must be > 0"),
         ({"voicing_threshold": 1.5}, [], "voicing_threshold must be in [0, 1]"),
+        ({}, ["--seed", -1], "seed must be >= 0"),
+        ({"seed": -1}, [], "seed must be >= 0"),
+        ({"algorithm": "knn"}, [], "unknown config keys: ['algorithm']"),
     ])
     def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
         from voicepd.data import save_feature_csv
@@ -394,6 +432,51 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+_MODEL_FIELDS = [(algorithm, name, arg) for algorithm, (_, fields, _) in REGISTRY.items()
+                 for name, arg in fields.items()]
+
+
+@pytest.mark.parametrize("algorithm,name,arg", _MODEL_FIELDS)
+def test_hyperparameter_flag_reaches_model(tmp_path, monkeypatch, algorithm, name, arg):
+    """A non-default flag value becomes its constructor argument on every
+    model `evaluate` trains, and the model's other arguments keep their defaults."""
+    from voicepd import evaluation
+    from voicepd.data import save_feature_csv
+    from voicepd.synth import gen_blobs
+    cls, fields, _ = REGISTRY[algorithm]
+    defaults = {a: inspect.signature(cls).parameters[a].default for a in fields.values()}
+    value = 2 if isinstance(defaults[arg], int) else defaults[arg] * 2
+    assert value != defaults[arg]
+    expected = {**defaults, arg: value}
+    features = tmp_path / "f.csv"
+    save_feature_csv(str(features), gen_blobs(10, seed=0))
+    trained = []
+    train_many = evaluation.train_many
+
+    def spy(*args, **kwargs):
+        models = train_many(*args, **kwargs)
+        trained.extend(models)
+        return models
+
+    monkeypatch.setattr(evaluation, "train_many", spy)
+    assert run("evaluate", "--features", features, "--algorithm", algorithm, "--cv-k", 3,
+               "--" + name.replace("_", "-"), value) == 0
+    assert len(trained) == 4  # three folds plus the holdout model
+    for model in trained:
+        assert {a: getattr(model.model, a) for a in expected} == expected
+        assert type(getattr(model.model, arg)) is type(value)
+
+
+def test_evaluate_flags_are_run_fields_plus_registry():
+    args = build_parser().parse_args(["evaluate", "--features", "f.csv", "--algorithm", "knn"])
+    flags = set(vars(args)) - {"command", "func", "features", "algorithm", "out", "config"}
+    assert flags == {"seed", "bins", "top_k", "test_fraction", "cv_k",
+                     *(name for _, name, _ in _MODEL_FIELDS)}
+    # no two fields of a model set the same constructor argument
+    for _, fields, _ in REGISTRY.values():
+        assert len(set(fields.values())) == len(fields)
 
 
 class TestFullPipelineDeterminism:

@@ -99,7 +99,7 @@ class TestEvaluateAndMetrics:
         from voicepd.data import Standardizer
         ds = gen_blobs(10, seed=3)
         std = Standardizer().fit(ds.features)
-        model = TrainedModel(algorithm="const", model=Constant(), standardizer=std, seed=0)
+        model = TrainedModel(algorithm="const", model=Constant(), standardizer=std)
         cm = evaluate(model, ds)
         np.testing.assert_array_equal(cm.counts[:, 0], [10, 10, 10])
         assert cm.counts[:, 1:].sum() == 0
