@@ -80,55 +80,56 @@ class DecisionTree:
     def fit(self, X: np.ndarray, y: np.ndarray):
         if len(X) == 0:
             raise DataError("cannot fit tree on an empty dataset")
-        self.root = self._build(np.asarray(X), np.asarray(y), depth=0)
+        # depth-first with an explicit stack, so depth is not bound by recursion
+        self.root = {}
+        stack = [(self.root, np.asarray(X), np.asarray(y), 0)]
+        while stack:
+            node, X, y, depth = stack.pop()
+            counts = np.bincount(y, minlength=3)
+            node["counts"] = counts.tolist()
+            if depth >= self.max_depth or len(np.unique(y)) <= 1 or len(y) < 2 * self.min_leaf:
+                continue
+            best = self._best_split(X, y, counts)
+            if best is None or best[0] >= _gini(counts) - 1e-15:
+                continue
+            _, j, t = best
+            left = X[:, j] <= t
+            node["feature"] = j
+            node["threshold"] = t
+            node["left"], node["right"] = {}, {}
+            stack.append((node["right"], X[~left], y[~left], depth + 1))
+            stack.append((node["left"], X[left], y[left], depth + 1))
         return self
-
-    def _build(self, X, y, depth):
-        counts = np.bincount(y, minlength=3)
-        node = {"counts": counts.tolist()}
-        if depth >= self.max_depth or len(np.unique(y)) <= 1 or len(y) < 2 * self.min_leaf:
-            return node
-        best = self._best_split(X, y, counts)
-        if best is None or best[0] >= _gini(counts) - 1e-15:
-            return node
-        _, j, t = best
-        left = X[:, j] <= t
-        node["feature"] = j
-        node["threshold"] = t
-        node["left"] = self._build(X[left], y[left], depth + 1)
-        node["right"] = self._build(X[~left], y[~left], depth + 1)
-        return node
 
     def _best_split(self, X, y, counts):
         """(impurity, feature, threshold) of the best midpoint split, or None.
 
-        Each feature is sorted once and the class counts left of every
+        All features are sorted at once, and the class counts left of every
         midpoint come from one cumulative sum.  Candidates are visited
         feature-first, threshold-ascending, and one replaces the best only
         when lower by more than 1e-15.
         """
         n = len(y)
         low = max(self.min_leaf, 1)  # a split with an empty side is no split
-        onehot = np.eye(3, dtype=np.int64)[y]
+        order = np.argsort(X, axis=0, kind="stable")
+        xs = np.take_along_axis(X, order, axis=0)
+        j, c = np.nonzero((xs[1:] > xs[:-1]).T)
+        lower, upper = xs[c, j], xs[c + 1, j]
+        thresholds = (lower + upper) / 2.0
+        # rows with value <= threshold; a midpoint that rounds up to the upper
+        # value (or overflows) takes the count searchsorted gives
+        nl = c + 1
+        for i in np.flatnonzero(~((lower <= thresholds) & (thresholds < upper))):
+            nl[i] = np.searchsorted(xs[:, j[i]], thresholds[i], side="right")
+        keep = (nl >= low) & (n - nl >= low)
+        j, thresholds, nl = j[keep], thresholds[keep], nl[keep]
+        left = np.cumsum(np.eye(3, dtype=np.int64)[y][order], axis=0)[nl - 1, j]
+        imp = (nl * _gini(left) + (n - nl) * _gini(counts - left)) / n
+        # only a strict running minimum can beat the best by the margin
         best = None
-        for j in range(X.shape[1]):
-            order = np.argsort(X[:, j], kind="stable")
-            xs = X[order, j]
-            cut = np.flatnonzero(xs[1:] > xs[:-1])
-            thresholds = (xs[cut] + xs[cut + 1]) / 2.0
-            # rows with value <= threshold; a midpoint can round up to the upper value
-            nl = np.searchsorted(xs, thresholds, side="right")
-            keep = (nl >= low) & (n - nl >= low)
-            thresholds, nl = thresholds[keep], nl[keep]
-            if len(nl) == 0:
-                continue
-            left = np.cumsum(onehot[order], axis=0)[nl - 1]
-            imp = (nl * _gini(left) + (n - nl) * _gini(counts - left)) / n
-            # only a strict running minimum can beat the best by the margin
-            records = np.flatnonzero(imp < np.minimum.accumulate(np.r_[np.inf, imp[:-1]]))
-            for i in records:
-                if best is None or imp[i] < best[0] - 1e-15:
-                    best = (float(imp[i]), j, float(thresholds[i]))
+        for i in np.flatnonzero(imp < np.minimum.accumulate(np.r_[np.inf, imp[:-1]])):
+            if best is None or imp[i] < best[0] - 1e-15:
+                best = (float(imp[i]), int(j[i]), float(thresholds[i]))
         return best
 
     def _leaf(self, x):
@@ -317,9 +318,14 @@ def _forward(X, W1, b1, W2, b2):
     z1 = X @ W1 + b1[..., None, :]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ W2 + b2[..., None, :]
-    z2 = z2 - z2.max(axis=-1, keepdims=True)
-    e = np.exp(z2)
-    return z1, a1, e / e.sum(axis=-1, keepdims=True)
+    # max and sum over the three classes column by column, since a reduction
+    # over a length-3 axis runs one numpy inner loop per row; the max is
+    # exact, and (c0 + c1) + c2 is the order of numpy's sum
+    c0, c1, c2 = np.moveaxis(z2, -1, 0)
+    z2 -= np.maximum(np.maximum(c0, c1), c2)[..., None]
+    np.exp(z2, out=z2)
+    z2 /= ((c0 + c1) + c2)[..., None]
+    return z1, a1, z2
 
 
 class NeuralNetwork:
@@ -372,7 +378,8 @@ class NeuralNetwork:
         batch is zero-padded, masked out of the output error and divided by
         its real size, so a network's weights do not depend on the networks
         trained beside it.  Each epoch gathers its batches once, and a step
-        updates the parameters in place through views.
+        works in buffers allocated once and updates the parameters in place
+        through views, allocating no array.
         """
         if len({(m.hidden, m.lr, m.epochs, m.batch_size) for m in models}) > 1:
             raise ValueError("networks trained together must share hyperparameters")
@@ -383,12 +390,20 @@ class NeuralNetwork:
         order = sorted(range(len(models)), key=lambda i: -len(Xs[i]))
         nets = [models[i] for i in order]
         n = np.array([len(Xs[i]) for i in order])
-        lr, epochs, size = nets[0].lr, nets[0].epochs, nets[0].batch_size
+        lr, epochs, size, h = nets[0].lr, nets[0].epochs, nets[0].batch_size, nets[0].hidden
         M, n_max, d = len(nets), int(n[0]), Xs[0].shape[1]
         pad = n_max  # row index of an all-zero input with an all-zero target
         X_pad = np.zeros((M, n_max + 1, d))
         onehot = np.zeros((M, n_max + 1, 3))
         labels = np.zeros((M, n_max), dtype=np.int64)
+        # each network's W1, b1, W2, b2 are views into its row of P, and its
+        # gradients views into the same places of G, so one step updates
+        # every parameter with two calls
+        shapes = ((d, h), (h,), (h, 3), (3,))
+        bounds = np.cumsum([0, d * h, h, h * 3, 3]).tolist()
+        P, G = np.zeros((2, M, bounds[-1]))
+        W1, b1, W2, b2, *grads = (x[:, lo:hi].reshape(M, *s) for x in (P, G)
+                                  for lo, hi, s in zip(bounds, bounds[1:], shapes))
         rngs = []
         for k, (i, net) in enumerate(zip(order, nets)):
             y = np.asarray(ys[i], dtype=np.int64)
@@ -398,8 +413,7 @@ class NeuralNetwork:
             rngs.append(np.random.default_rng(net.seed))
             net.init_params(d, rngs[-1])
             net.loss_history = []
-        W1, b1, W2, b2 = (np.stack([getattr(net, p) for net in nets])
-                          for p in ("W1", "b1", "W2", "b2"))
+            W1[k], b1[k], W2[k], b2[k] = net.W1, net.b1, net.W2, net.b2
         n_batches = -(-n // size)
         active = np.count_nonzero(n_batches > np.arange(n_batches[0])[:, None], axis=1)
         # real rows in batch k of each network (1 where it has no batch k and idles)
@@ -408,55 +422,76 @@ class NeuralNetwork:
         schedule = np.full((M, n_batches[0] * size), pad)
         # (step, network, row) indices of one epoch's batches
         batches = schedule.reshape(M, n_batches[0], size).transpose(1, 0, 2)
-        # per active prefix: the networks' parameters, biases shaped to add to a
-        # stacked batch, and W2 transposed
-        views = {a: (W1[:a], b1[:a], b1[:a, None, :], W2[:a], b2[:a], b2[:a, None, :],
-                     np.swapaxes(W2[:a], -1, -2)) for a in set(active.tolist())}
+        # step buffers: hidden activation, output error, hidden error, ReLU
+        # mask, and each row's softmax max, then sum
+        hid, delta2, delta1 = np.zeros((M, size, h)), np.zeros((M, size, 3)), np.zeros((M, size, h))
+        relu, stat = np.zeros((M, size, h), dtype=bool), np.zeros((M, size))
+        # per active prefix, the views a step works on: parameters with biases
+        # shaped to add to a stacked batch, W2 and the hidden activation
+        # transposed, and the output error's class columns
+        views = {}
+        for a in set(active.tolist()):
+            w1, c1, w2, c2, g_w1, g_b1, g_w2, g_b2, hid_a, d2, d1, relu_a, stat_a = (
+                x[:a] for x in (W1, b1, W2, b2, *grads, hid, delta2, delta1, relu, stat))
+            views[a] = (P[:a], G[:a], w1, c1[:, None, :], w2, c2[:, None, :],
+                        np.swapaxes(w2, -1, -2), g_w1, g_b1, g_w2, g_b2, hid_a,
+                        np.swapaxes(hid_a, -1, -2), d2, *np.moveaxis(d2, -1, 0), d1, relu_a,
+                        stat_a, stat_a[:, :, None])
         # only a step where some active network has a short batch needs the pad
         # mask and the per-network divisor: elsewhere p * 1.0 == p and
         # p / real == p / size, so skipping them leaves every bit as it was
         short = ((real.T < size) & (np.arange(M) < active[:, None])).any(axis=1).tolist()
         divisor = real.T[:, :, None, None]
         runs = _prefix_runs(active)
-        for _ in range(epochs):
-            for k, rng in enumerate(rngs):
-                schedule[k, : n[k]] = rng.permutation(n[k])
-            xb_all = X_pad[rows.T[:, :, None], batches]
-            onehot_all = onehot[rows.T[:, :, None], batches]
-            keep_all = (batches != pad)[..., None]
-            for a, lo, hi in runs:
-                w1, c1, c1_rows, w2, c2, c2_rows, w2_t = views[a]
-                run = (xb_all[lo:hi, :a], np.swapaxes(xb_all[lo:hi, :a], -1, -2),
-                       onehot_all[lo:hi, :a], keep_all[lo:hi, :a], divisor[lo:hi, :a],
-                       short[lo:hi])
-                for xb, xb_t, target, keep, div, is_short in zip(*run):
-                    # forward: hidden ReLU activation, then softmax probabilities
-                    hid = xb @ w1
-                    hid += c1_rows
-                    np.maximum(hid, 0.0, out=hid)
-                    delta2 = hid @ w2
-                    delta2 += c2_rows
-                    delta2 -= delta2.max(axis=-1, keepdims=True)
-                    np.exp(delta2, out=delta2)
-                    delta2 /= delta2.sum(axis=-1, keepdims=True)
-                    # output error over the real rows, divided by their count
-                    if is_short:
-                        delta2 *= keep
-                        delta2 -= target
-                        delta2 /= div
-                    else:
-                        delta2 -= target
-                        delta2 /= size
-                    delta1 = delta2 @ w2_t
-                    delta1 *= hid > 0.0
-                    w1 -= lr * (xb_t @ delta1)
-                    c1 -= lr * delta1.sum(axis=-2)
-                    w2 -= lr * (np.swapaxes(hid, -1, -2) @ delta2)
-                    c2 -= lr * delta2.sum(axis=-2)
-            _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
-            p_true = probs[rows, np.arange(n_max), labels]
-            for k, net in enumerate(nets):
-                net.loss_history.append(float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))))
+        # a diverging fit overflows; it is reported once, after the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(epochs):
+                for k, rng in enumerate(rngs):
+                    schedule[k, : n[k]] = rng.permutation(n[k])
+                xb_all = X_pad[rows.T[:, :, None], batches]
+                onehot_all = onehot[rows.T[:, :, None], batches]
+                keep_all = (batches != pad)[..., None]
+                for a, lo, hi in runs:
+                    (p, g, w1, c1_rows, w2, c2_rows, w2_t, g_w1, g_b1, g_w2, g_b2, hid_a, hid_t,
+                     d2, d2_0, d2_1, d2_2, d1, relu_a, stat_a, stat_col) = views[a]
+                    run = (xb_all[lo:hi, :a], np.swapaxes(xb_all[lo:hi, :a], -1, -2),
+                           onehot_all[lo:hi, :a], keep_all[lo:hi, :a], divisor[lo:hi, :a],
+                           short[lo:hi])
+                    for xb, xb_t, target, keep, div, is_short in zip(*run):
+                        # forward: hidden ReLU activation, then softmax probabilities
+                        np.matmul(xb, w1, out=hid_a)
+                        hid_a += c1_rows
+                        np.maximum(hid_a, 0.0, out=hid_a)
+                        np.matmul(hid_a, w2, out=d2)
+                        d2 += c2_rows
+                        np.maximum(d2_0, d2_1, out=stat_a)
+                        np.maximum(stat_a, d2_2, out=stat_a)
+                        d2 -= stat_col
+                        np.exp(d2, out=d2)
+                        np.add(d2_0, d2_1, out=stat_a)
+                        stat_a += d2_2
+                        d2 /= stat_col
+                        # output error over the real rows, divided by their count
+                        if is_short:
+                            d2 *= keep
+                            d2 -= target
+                            d2 /= div
+                        else:
+                            d2 -= target
+                            d2 /= size
+                        np.matmul(d2, w2_t, out=d1)
+                        np.greater(hid_a, 0.0, out=relu_a)
+                        d1 *= relu_a
+                        np.matmul(xb_t, d1, out=g_w1)
+                        np.add.reduce(d1, axis=-2, out=g_b1)
+                        np.matmul(hid_t, d2, out=g_w2)
+                        np.add.reduce(d2, axis=-2, out=g_b2)
+                        g *= lr
+                        p -= g
+                _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
+                p_true = probs[rows, np.arange(n_max), labels]
+                for k, net in enumerate(nets):
+                    net.loss_history.append(float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))))
         for k, net in enumerate(nets):
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
         for i, net in enumerate(models):

@@ -45,6 +45,10 @@ class SynthSpec:
             raise ConfigError("sample_rate must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        samples = self.duration_s * self.sample_rate
+        if not math.isfinite(samples) or round(samples) < 1:
+            raise ConfigError(f"duration_s {self.duration_s} at {self.sample_rate} Hz gives "
+                              f"{samples:g} samples; need a finite count of at least 1")
         if self.kind in ("pulse_train", "sine"):
             if self.f0 <= 0:
                 raise ConfigError(f"f0 must be positive, got {self.f0}")

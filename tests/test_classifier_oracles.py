@@ -1,6 +1,8 @@
 """Array and lockstep classifier code checked against the loop versions it
 replaced, which live on here as oracles, and the in-place lockstep trainers
-checked bit for bit against the first lockstep code.
+checked bit for bit against the first lockstep code.  The all-features tree
+split search is checked against the per-feature search, and the column-wise
+softmax against the reductions over the class axis.
 
 Trees and kNN outputs must be equal, SVM weights bit-identical, and NN
 weights and loss curves equal when every mini-batch is full.  A short last
@@ -19,6 +21,8 @@ from voicepd.classifiers import (
     KNearestNeighbors,
     LinearSVM,
     NeuralNetwork,
+    _forward,
+    _gini,
     train,
 )
 from voicepd.data import LabeledDataset
@@ -77,6 +81,32 @@ def oracle_tree(X, y, depth, max_depth, min_leaf):
     node["left"] = oracle_tree(X[left], y[left], depth + 1, max_depth, min_leaf)
     node["right"] = oracle_tree(X[~left], y[~left], depth + 1, max_depth, min_leaf)
     return node
+
+
+def oracle_best_split(X, y, counts, min_leaf):
+    """The per-feature sort-and-scan search: each feature sorted on its own,
+    candidates found with searchsorted, records scanned feature by feature."""
+    n = len(y)
+    low = max(min_leaf, 1)
+    onehot = np.eye(3, dtype=np.int64)[y]
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        cut = np.flatnonzero(xs[1:] > xs[:-1])
+        thresholds = (xs[cut] + xs[cut + 1]) / 2.0
+        nl = np.searchsorted(xs, thresholds, side="right")
+        keep = (nl >= low) & (n - nl >= low)
+        thresholds, nl = thresholds[keep], nl[keep]
+        if len(nl) == 0:
+            continue
+        left = np.cumsum(onehot[order], axis=0)[nl - 1]
+        imp = (nl * _gini(left) + (n - nl) * _gini(counts - left)) / n
+        records = np.flatnonzero(imp < np.minimum.accumulate(np.r_[np.inf, imp[:-1]]))
+        for i in records:
+            if best is None or imp[i] < best[0] - 1e-15:
+                best = (float(imp[i]), j, float(thresholds[i]))
+    return best
 
 
 def oracle_svm(X, y, lam, epochs, lr0, seed):
@@ -387,6 +417,89 @@ class TestTreeOracle:
         y = np.array([0, 0, 1, 1, 2])
         tree = DecisionTree().fit(X, y)
         assert tree.root == oracle_tree(X, y, 0, 8, 1)
+
+
+def assert_best_splits_equal_oracle(X, y, max_depth=8, min_leaf=1):
+    """Grow a tree, checking the split search against the per-feature one at
+    every node; return the number of nodes searched."""
+    tree = DecisionTree(max_depth=max_depth, min_leaf=min_leaf)
+    search, searched = tree._best_split, []
+
+    def checked(X, y, counts):
+        best = search(X, y, counts)
+        assert best == oracle_best_split(X, y, counts, min_leaf)
+        assert best is None or type(best[1]) is int
+        searched.append(best)
+        return best
+
+    tree._best_split = checked
+    tree.fit(X, y)
+    return len(searched)
+
+
+class TestBestSplitOracle:
+    """The all-features split search against the per-feature one it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    def test_tree_data(self, seed, min_leaf):
+        X, y = tree_data(seed)
+        assert assert_best_splits_equal_oracle(X, y, min_leaf=min_leaf) > 1
+
+    @pytest.mark.parametrize("seed", [*range(30), 529])
+    def test_near_ties_on_integer_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 40))
+        y = rng.integers(0, 3, size=n)
+        X = rng.integers(0, 6, size=(n, 3)).astype(float)
+        assert assert_best_splits_equal_oracle(X, y) >= 1
+
+    def test_overlapping_blobs(self):
+        # the evaluate-large shape: 340 rows, 8 features, overlapping classes
+        ds = gen_blobs((113, 113, 114), dims=8, separation=2.0, sigma=1.0, seed=6)
+        assert assert_best_splits_equal_oracle(ds.features, ds.labels) > 20
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_finite_and_overflowing_values(self, seed):
+        # midpoints that overflow to +-inf or are inf - inf, and NaN rows
+        rng = np.random.default_rng(seed)
+        values = [-1.7e308, -1.6e308, -1.0, 0.0, 1.0, 1.6e308, 1.7e308, np.inf, -np.inf, np.nan]
+        X, y = rng.choice(values, size=(40, 3)), rng.integers(0, 3, size=40)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert assert_best_splits_equal_oracle(X, y) > 1
+
+
+class TestForwardOracle:
+    """The column-wise softmax against the reductions over the class axis."""
+
+    def _check(self, X, W1, b1, W2, b2):
+        for got, want in zip(_forward(X, W1, b1, W2, b2), _lockstep_forward(X, W1, b1, W2, b2)):
+            assert_bit_equal(got, want)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_random(self, stacked):
+        rng = np.random.default_rng(11)
+        lead = (4,) if stacked else ()
+        self._check(rng.standard_normal((*lead, 50, 6)), rng.standard_normal((*lead, 6, 9)),
+                    rng.standard_normal((*lead, 9)), 3.0 * rng.standard_normal((*lead, 9, 3)),
+                    rng.standard_normal((*lead, 3)))
+
+    def test_tied_logits(self):
+        rng = np.random.default_rng(12)
+        X, W1, b1 = rng.standard_normal((40, 5)), rng.standard_normal((5, 7)), np.zeros(7)
+        col = rng.standard_normal((7, 1))
+        # every pair of classes tied, then all three
+        for W2 in (np.hstack([col, col, 2 * col]), np.hstack([col, 2 * col, col]),
+                   np.hstack([2 * col, col, col]), np.hstack([col, col, col]), np.zeros((7, 3))):
+            self._check(X, W1, b1, W2, np.zeros(3))
+
+    @pytest.mark.parametrize("b2", [(700.0, -700.0, 699.5), (-700.0, -699.0, 700.0),
+                                    (705.0, 705.0, -705.0)])
+    def test_logits_near_exp_limits(self, b2):
+        rng = np.random.default_rng(13)
+        self._check(rng.standard_normal((3, 30, 4)), rng.standard_normal((3, 4, 6)),
+                    rng.standard_normal((3, 6)), rng.standard_normal((3, 6, 3)),
+                    np.tile(b2, (3, 1)))
 
 
 class TestKnnOracle:

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from voicepd.classifiers import (
     ALGORITHMS,
+    DecisionTree,
     KNearestNeighbors,
     NeuralNetwork,
     train,
@@ -83,6 +86,23 @@ class TestPredict:
         model = train("nb", blobs, seed=0)
         with pytest.raises(DataError, match="expected 19"):
             model.predict(np.zeros((1, 4)))
+
+
+class TestDecisionTree:
+    def test_depth_beyond_recursion_limit(self):
+        # labels alternate along the one non-constant feature, so every split
+        # peels one row off the end and the tree is a chain n - 1 levels deep
+        n = 1200
+        X = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        y = np.arange(n) % 2
+        tree = DecisionTree(max_depth=100_000).fit(X, y)
+        depth, stack = 0, [(tree.root, 0)]
+        while stack:
+            node, level = stack.pop()
+            depth = max(depth, level)
+            stack += [(node[side], level + 1) for side in ("left", "right") if side in node]
+        assert depth == n - 1 > sys.getrecursionlimit()
+        np.testing.assert_array_equal(tree.predict(X), y)
 
 
 class TestNeuralNetworkGradients:

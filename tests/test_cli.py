@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,8 @@ class TestSynthCommand:
         (["--jitter", "1e308"], "shorter than one sample"),
         (["--jitter", 70], "shorter than one sample"),
         (["--seed", -1], "seed must be non-negative"),
+        (["--duration", "1e-9"], "gives 8e-06 samples"),
+        (["--duration", "1e308"], "gives inf samples"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, flags, message):
         assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.1,
@@ -186,10 +189,15 @@ class TestEvaluateCommand:
         path = tmp_path / "blobs.csv"
         save_feature_csv(str(path), gen_blobs(10, seed=0))
         out = tmp_path / "report.json"
-        with np.errstate(all="ignore"):
+        # outside pytest a numpy RuntimeWarning prints to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run("evaluate", "--features", path, "--algorithm", "nn", "--cv-k", 3,
                        "--nn-lr", "1e308", "--nn-epochs", 2, "--out", out) == 2
-        assert "nn training diverged on fit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nn training diverged on fit" in err
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_same_seed_identical_json(self, tmp_path):
