@@ -184,16 +184,6 @@ class GaussianNaiveBayes:
             out[:, ci] = np.log(self.priors[ci]) + ll
         return out
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        lj = self._log_joint(X)
-        lj -= lj.max(axis=1, keepdims=True)
-        p = np.exp(lj)
-        p /= p.sum(axis=1, keepdims=True)
-        scores = np.zeros((len(X), 3))
-        for ci, c in enumerate(self.classes_):
-            scores[:, c] = p[:, ci]
-        return scores
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self._log_joint(X), axis=1)]
 

@@ -50,12 +50,12 @@ class RunConfig:
     """
 
     seed: int = 0
-    frame_ms: float = 40.0
-    hop_ms: float = 10.0
-    f0_min: float = 60.0
-    f0_max: float = 500.0
-    voicing_threshold: float = 0.30
-    sure_threshold: float = 0.2
+    frame_ms: float = PitchConfig.frame_ms
+    hop_ms: float = PitchConfig.hop_ms
+    f0_min: float = PitchConfig.f0_min
+    f0_max: float = PitchConfig.f0_max
+    voicing_threshold: float = PitchConfig.voicing_threshold
+    sure_threshold: float = FeatureConfig.sure_threshold
     bins: int = 10
     top_k: int | None = None
     test_fraction: float = 0.15
@@ -177,11 +177,11 @@ def cmd_extract(args) -> int:
         try:
             signal = audio_io.load_wav(entry.path)
             track = analyze_pitch(signal, feature_cfg.pitch)
-            vec = extract_all(signal, track, feature_cfg)
+            row = extract_all(signal, track, feature_cfg)
         except VoicePDError as exc:
             rejects.append((entry.path, str(exc)))
             continue
-        rows.append(vec.as_array())
+        rows.append(row)
         labels.append(entry.label)
     features = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
     dataset = LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64))

@@ -57,7 +57,8 @@ class LabeledDataset:
 class Standardizer:
     """Per-feature z-scoring fitted on training data.
 
-    Zero-variance features pass through unscaled (std pinned to 1).
+    Zero-variance features pass through unscaled (std pinned to 1).  A column
+    whose mean or std overflows float64 is a DataError.
     """
 
     mean: np.ndarray | None = None
@@ -65,10 +66,15 @@ class Standardizer:
 
     def fit(self, features: np.ndarray) -> "Standardizer":
         features = np.asarray(features, dtype=np.float64)
-        self.mean = features.mean(axis=0)
-        std = features.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = features.mean(axis=0)
+            std = features.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if len(bad):
+            raise DataError(f"feature column {bad[0] + 1} of the training data is too large "
+                            "to standardize: its mean or standard deviation overflows float64")
         std[std == 0.0] = 1.0
-        self.std = std
+        self.mean, self.std = mean, std
         return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:
@@ -107,6 +113,9 @@ def load_feature_csv(path: str) -> LabeledDataset:
     if header[-1] != "label":
         raise DataError(f"feature CSV {path!r} must end with a `label` column")
     names = header[:-1]
+    repeated = next((n for i, n in enumerate(header) if n in header[:i]), None)
+    if repeated is not None:
+        raise DataError(f"feature CSV {path!r} has more than one column named {repeated!r}")
     rows, labels = [], []
     for lineno, line in lines[1:]:
         parts = line.split(",")

@@ -2,8 +2,8 @@
 
 Pitch-derived features (jitter, shimmer) consume a PitchTrack; all other
 features operate on the whole normalized recording.  Spectral features use
-a Welch (1967) power spectral density: Hann window, 1024-sample segments,
-50% overlap by default.  The PSD is numpy code that agrees with
+a Welch (1967) power spectral density with a fixed geometry: Hann window,
+1024-sample segments, 50% overlap.  The PSD is numpy code that agrees with
 `scipy.signal.welch` to rounding, so importing this module needs no scipy.
 """
 
@@ -42,51 +42,15 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    nperseg: int = 1024
-    overlap: float = 0.5
-    window: str = "hann"
+# Welch PSD geometry: Hann-windowed segments of this many samples, 50% overlap
+_NPERSEG = 1024
+_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     pitch: PitchConfig = field(default_factory=PitchConfig)
-    spectral: SpectralConfig = field(default_factory=SpectralConfig)
     sure_threshold: float = 0.2
-    log_entropy_eps: float = 1e-12
-
-
-@dataclass
-class FeatureVector:
-    maximum: float
-    mean_frequency: float
-    minimum: float
-    shimmer_db: float
-    log_entropy: float
-    power_bandwidth_hz: float
-    jitter_pct: float
-    mean_energy: float
-    rms: float
-    std_dev: float
-    variance: float
-    amplitude_mean: float
-    median: float
-    skewness: float
-    kurtosis: float
-    shannon_entropy: float
-    zcr: float
-    sure_entropy: float
-    iqr: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES])
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "FeatureVector":
-        if len(values) != len(FEATURE_NAMES):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
-        return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
 
 
 # --- pitch-derived ---------------------------------------------------------
@@ -186,7 +150,8 @@ def log_entropy(signal: AudioSignal, eps: float = 1e-12) -> float:
     return float(np.sum(np.log(x * x + eps)))
 
 
-def sure_entropy(signal: AudioSignal, threshold: float = 0.2) -> float:
+def sure_entropy(signal: AudioSignal,
+                 threshold: float = FeatureConfig.sure_threshold) -> float:
     """Threshold-SURE entropy: N - #{|x| <= t} + sum min(x^2, t^2)."""
     if threshold <= 0.0:
         raise ValueError("sure_entropy threshold must be positive")
@@ -198,12 +163,8 @@ def sure_entropy(signal: AudioSignal, threshold: float = 0.2) -> float:
 
 # --- spectral --------------------------------------------------------------
 
-def _window(name: str, n: int) -> np.ndarray:
-    """Periodic window of length n, bit-equal to `scipy.signal.get_window`."""
-    if name == "boxcar":
-        return np.ones(n)
-    if name != "hann":
-        raise ValueError(f"unsupported window {name!r}; expected 'hann' or 'boxcar'")
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of length n, bit-equal to `scipy.signal.get_window("hann", n)`."""
     if n == 1:
         return np.ones(1)
     # scipy's cosine sum 0.5 cos(0 fac) + 0.5 cos(fac) over n + 1 points, last one dropped
@@ -211,8 +172,7 @@ def _window(name: str, n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(fac))[:-1]
 
 
-def power_spectrum(signal: AudioSignal,
-                   config: SpectralConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def power_spectrum(signal: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch PSD (frequencies in Hz, density scaling, no detrend).
 
     Full segments only (no boundary extension or padding), all windowed and
@@ -222,12 +182,11 @@ def power_spectrum(signal: AudioSignal,
     1 / sqrt(fs * sum w^2) with the sum taken in order, and the mean over
     segments runs along a contiguous axis (numpy's pairwise summation).
     """
-    config = config or SpectralConfig()
     x = signal.samples
     fs = signal.sample_rate
-    nperseg = min(config.nperseg, len(x))
-    step = nperseg - int(nperseg * config.overlap)
-    win = _window(config.window, nperseg)
+    nperseg = min(_NPERSEG, len(x))
+    step = nperseg - int(nperseg * _OVERLAP)
+    win = _hann(nperseg)
     win = win * (1.0 / np.sqrt(np.cumsum(win * win)[-1] / (1.0 / fs)))
     spec = np.fft.rfft(sliding_window_view(x, nperseg)[::step] * win, axis=1)
     power = spec.real ** 2 + spec.imag ** 2
@@ -236,20 +195,20 @@ def power_spectrum(signal: AudioSignal,
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
-def mean_frequency(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
+def mean_frequency(signal: AudioSignal) -> float:
     """Power-weighted spectral centroid in Hz."""
-    return _mean_frequency(*power_spectrum(signal, config))
+    return _mean_frequency(*power_spectrum(signal))
 
 
-def shannon_entropy(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
+def shannon_entropy(signal: AudioSignal) -> float:
     """Shannon entropy of the normalized PSD, scaled by log2(K) into [0, 1]."""
-    return _shannon_entropy(*power_spectrum(signal, config))
+    return _shannon_entropy(*power_spectrum(signal))
 
 
-def power_bandwidth(signal: AudioSignal, config: SpectralConfig | None = None) -> float:
+def power_bandwidth(signal: AudioSignal) -> float:
     """3 dB bandwidth: width of the contiguous band around the spectral peak
     where the PSD stays >= peak/2, edges by linear interpolation."""
-    return _power_bandwidth(*power_spectrum(signal, config))
+    return _power_bandwidth(*power_spectrum(signal))
 
 
 def _mean_frequency(freqs: np.ndarray, psd: np.ndarray) -> float:
@@ -293,38 +252,32 @@ def _power_bandwidth(freqs: np.ndarray, psd: np.ndarray) -> float:
     return float(right - left)
 
 
-# --- the full vector -------------------------------------------------------
+# --- the full row ----------------------------------------------------------
 
 def extract_all(signal: AudioSignal, track: PitchTrack,
-                config: FeatureConfig | None = None) -> FeatureVector:
-    """Compute all 19 features; raises UndefinedFeatureError rather than
-    imputing when jitter/shimmer or the spectrum are undefined."""
+                config: FeatureConfig | None = None) -> np.ndarray:
+    """All 19 features as a float64 array in `FEATURE_NAMES` order.
+
+    Raises UndefinedFeatureError rather than imputing when jitter/shimmer or
+    the spectrum are undefined, or when a value is not finite.
+    """
     config = config or FeatureConfig()
-    stats = descriptive_stats(signal)
-    spectrum = power_spectrum(signal, config.spectral)
-    vec = FeatureVector(
-        maximum=stats["maximum"],
+    values = descriptive_stats(signal)
+    spectrum = power_spectrum(signal)
+    values.update(
         mean_frequency=_mean_frequency(*spectrum),
-        minimum=stats["minimum"],
         shimmer_db=shimmer(track),
-        log_entropy=log_entropy(signal, config.log_entropy_eps),
+        log_entropy=log_entropy(signal),
         power_bandwidth_hz=_power_bandwidth(*spectrum),
         jitter_pct=jitter(track),
         mean_energy=mean_energy(signal, config),
         rms=rms(signal),
-        std_dev=stats["std_dev"],
-        variance=stats["variance"],
-        amplitude_mean=stats["amplitude_mean"],
-        median=stats["median"],
-        skewness=stats["skewness"],
-        kurtosis=stats["kurtosis"],
         shannon_entropy=_shannon_entropy(*spectrum),
         zcr=zcr(signal),
         sure_entropy=sure_entropy(signal, config.sure_threshold),
-        iqr=stats["iqr"],
     )
-    values = vec.as_array()
-    if not np.all(np.isfinite(values)):
-        bad = [n for n, v in zip(FEATURE_NAMES, values) if not np.isfinite(v)]
+    row = np.array([values[name] for name in FEATURE_NAMES], dtype=np.float64)
+    if not np.all(np.isfinite(row)):
+        bad = [n for n, v in zip(FEATURE_NAMES, row) if not np.isfinite(v)]
         raise UndefinedFeatureError(f"non-finite features {bad} for {signal.source_path!r}")
-    return vec
+    return row

@@ -28,7 +28,6 @@ class PitchConfig:
 
 @dataclass(frozen=True)
 class PitchEstimate:
-    frame_index: int
     period_s: float | None  # None when unvoiced
     voicing_score: float
 
@@ -43,7 +42,6 @@ class PitchTrack:
 
     cycle_periods: np.ndarray  # seconds
     cycle_peaks: np.ndarray    # normalized amplitude
-    f0_range: tuple[float, float] = (60.0, 500.0)
 
     def __post_init__(self):
         self.cycle_periods = np.asarray(self.cycle_periods, dtype=np.float64)
@@ -87,8 +85,8 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _estimate_frames(frames: np.ndarray, sample_rate: int, config: PitchConfig,
-                     first_index: int = 0) -> list[PitchEstimate]:
+def _estimate_frames(frames: np.ndarray, sample_rate: int,
+                     config: PitchConfig) -> list[PitchEstimate]:
     """Period estimate of every row of `frames` via its normalized ACF peak.
 
     The autocorrelation sums r(0..lag_max+1) of each frame come from a
@@ -105,7 +103,7 @@ def _estimate_frames(frames: np.ndarray, sample_rate: int, config: PitchConfig,
     if lag_max >= frame_len:
         raise ConfigError(f"lag range up to {lag_max} exceeds frame length {frame_len}")
     if lag_min > lag_max:  # no whole lag inside the f0 range
-        return [PitchEstimate(first_index + i, None, 0.0) for i in range(n_frames)]
+        return [PitchEstimate(None, 0.0)] * n_frames
     nfft = _next_fast_len(frame_len + lag_max + 1)
 
     estimates: list[PitchEstimate] = []
@@ -121,19 +119,11 @@ def _estimate_frames(frames: np.ndarray, sample_rate: int, config: PitchConfig,
         score = np.where(has_peak, vals[np.arange(len(vals)), best], vals.max(axis=1))
         voiced = has_peak & (score >= config.voicing_threshold)
         estimates += [
-            PitchEstimate(frame_index=first_index + start + k,
-                          period_s=(lag_min + b) / sample_rate if v else None,
+            PitchEstimate(period_s=(lag_min + b) / sample_rate if v else None,
                           voicing_score=s if v else max(s, 0.0))
-            for k, (b, s, v) in enumerate(zip(best.tolist(), score.tolist(), voiced.tolist()))
+            for b, s, v in zip(best.tolist(), score.tolist(), voiced.tolist())
         ]
     return estimates
-
-
-def estimate_pitch(frame_samples: np.ndarray, sample_rate: int,
-                   config: PitchConfig, frame_index: int = 0) -> PitchEstimate:
-    """Single-frame period estimate via the normalized autocorrelation peak."""
-    frame = np.asarray(frame_samples, dtype=np.float64)
-    return _estimate_frames(frame[np.newaxis], sample_rate, config, frame_index)[0]
 
 
 def track_pitch(signal: AudioSignal, config: PitchConfig) -> list[PitchEstimate]:
@@ -209,7 +199,6 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
     return PitchTrack(
         cycle_periods=np.concatenate(all_periods) if all_periods else np.array([]),
         cycle_peaks=np.concatenate(all_peaks) if all_peaks else np.array([]),
-        f0_range=(config.f0_min, config.f0_max),
     )
 
 

@@ -7,6 +7,7 @@ table.  Constant features score 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,13 @@ def chi2_statistic(observed: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def _bin_column(values: np.ndarray, bins: int) -> np.ndarray:
+def _bin_column(values: np.ndarray, bins: int, name: str) -> np.ndarray:
     lo, hi = float(np.min(values)), float(np.max(values))
     if hi == lo:
         return np.zeros(len(values), dtype=np.int64)
+    if not math.isfinite(hi - lo):
+        raise DataError(f"feature {name!r} spans {lo!r} to {hi!r}, a range beyond float64; "
+                        "cannot bin it")
     idx = np.floor((values - lo) / (hi - lo) * bins).astype(np.int64)
     return np.clip(idx, 0, bins - 1)
 
@@ -52,7 +56,7 @@ def chi2_scores(dataset: LabeledDataset, bins: int = 10) -> list[FeatureScore]:
     classes = np.unique(dataset.labels)
     stats = []
     for j in range(dataset.n_features):
-        binned = _bin_column(dataset.features[:, j], bins)
+        binned = _bin_column(dataset.features[:, j], bins, dataset.feature_names[j])
         table = np.zeros((bins, len(classes)))
         for ci, c in enumerate(classes):
             counts = np.bincount(binned[dataset.labels == c], minlength=bins)

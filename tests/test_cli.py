@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import voicepd
-from voicepd.classifiers import REGISTRY
+from voicepd.classifiers import ALGORITHMS, REGISTRY
 from voicepd.cli import RunConfig, build_parser, main
 from voicepd.features import FEATURE_NAMES
 
@@ -210,6 +210,35 @@ class TestEvaluateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", [*ALGORITHMS, "rank"])
+def test_overflowing_column_exit_2(tmp_path, capsys, command):
+    """Every value is finite, but the column's sum, spread and std overflow."""
+    from voicepd.data import save_feature_csv
+    from voicepd.synth import gen_blobs
+    ds = gen_blobs(10, seed=0)
+    ds.features[:, 0] = np.where(np.arange(len(ds)) % 2 == 0, 1.5e308, -1.5e308)
+    path = tmp_path / "huge.csv"
+    save_feature_csv(str(path), ds)
+    out = tmp_path / "out"
+    if command == "rank":
+        argv = ["rank", "--features", path, "--out", out]
+    else:
+        argv = ["evaluate", "--features", path, "--algorithm", command, "--cv-k", 3,
+                "--out", out]
+    # outside pytest a numpy RuntimeWarning prints to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if command == "rank":
+        assert "'maximum'" in err
+    else:
+        assert "too large to standardize" in err
+    assert not out.exists()
+
+
 class TestPlotdataCommand:
     def test_groups_and_conservation(self, tmp_path):
         from voicepd.data import save_feature_csv
@@ -381,6 +410,10 @@ def _bad_input_case(case, tmp_path):
         if command == "rank":
             return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
         return [*evaluate, "--features", bad], bad
+    if case == "features_repeated_column_rank":
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("a,a,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
     if case == "out_dir_missing_rank":
         return ["rank", "--features", features, "--out", out_in_missing_dir], out_in_missing_dir
     if case == "out_dir_missing_evaluate":
@@ -397,7 +430,7 @@ def _bad_input_case(case, tmp_path):
     "config_missing", "config_malformed", "manifest_not_utf8", "features_not_utf8",
     "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
     "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
-    "out_dir_missing_plotdata", "out_dir_is_a_file_synth",
+    "out_dir_missing_plotdata", "out_dir_is_a_file_synth", "features_repeated_column_rank",
     *_NONFINITE,
 ])
 def test_bad_input_file_exit_2(tmp_path, capsys, case):
@@ -408,6 +441,8 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and str(path) in err
     if case in _NONFINITE:
         assert "line 5:" in err and "not a finite number" in err
+    if case == "features_repeated_column_rank":
+        assert "more than one column named 'a'" in err
 
 
 def test_extract_unwritable_out_decodes_nothing(tmp_path, capsys, monkeypatch):

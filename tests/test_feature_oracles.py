@@ -211,7 +211,7 @@ def test_spectral_features_match_oracle():
 PSD_REL = 1e-13
 
 
-@pytest.mark.parametrize("window", ["hann", "boxcar"])
+@pytest.mark.parametrize("window", ["hann"])
 @pytest.mark.parametrize("n", [441, 640, 1024, 20000])
 @pytest.mark.parametrize("fs", [16000, 44100, 48000])
 def test_power_spectrum_matches_scipy_welch(fs, n, window):
@@ -219,12 +219,11 @@ def test_power_spectrum_matches_scipy_welch(fs, n, window):
     full segment, and many overlapping segments with a ragged tail."""
     sp_signal = pytest.importorskip("scipy.signal")
     x = peak_normalize(np.random.default_rng([fs, n]).standard_normal(n))
-    cfg = F.SpectralConfig(window=window)
-    freqs, psd = F.power_spectrum(AudioSignal(samples=x, sample_rate=fs), cfg)
-    nperseg = min(cfg.nperseg, n)
+    freqs, psd = F.power_spectrum(AudioSignal(samples=x, sample_rate=fs))
+    nperseg = min(1024, n)
     want_freqs, want_psd = sp_signal.welch(
         x, fs=fs, window=sp_signal.get_window(window, nperseg), nperseg=nperseg,
-        noverlap=int(nperseg * cfg.overlap), detrend=False, scaling="density")
+        noverlap=nperseg // 2, detrend=False, scaling="density")
     np.testing.assert_array_equal(freqs, want_freqs)
     np.testing.assert_allclose(psd, want_psd, rtol=PSD_REL, atol=0)
 
@@ -232,11 +231,4 @@ def test_power_spectrum_matches_scipy_welch(fs, n, window):
 def test_window_bit_equal_to_scipy():
     sp_signal = pytest.importorskip("scipy.signal")
     for n in range(1, 2049):
-        for name in ("hann", "boxcar"):
-            np.testing.assert_array_equal(F._window(name, n), sp_signal.get_window(name, n))
-
-
-def test_unknown_window_rejected():
-    sig = AudioSignal(samples=peak_normalize(np.arange(2000.0) % 7), sample_rate=FS)
-    with pytest.raises(ValueError, match="hamming"):
-        F.power_spectrum(sig, F.SpectralConfig(window="hamming"))
+        np.testing.assert_array_equal(F._hann(n), sp_signal.get_window("hann", n))

@@ -110,9 +110,11 @@ class TestMeanFrequency:
         assert np.mean(vals) == pytest.approx(fs / 4, rel=0.05)
 
     def test_dc_only(self):
-        # rectangular window: a constant signal has all power in bin 0
-        value = F.mean_frequency(sig([1.0] * 4096), F.SpectralConfig(window="boxcar"))
-        assert value == pytest.approx(0.0, abs=1e-6)
+        # the periodic Hann window's DFT is N/2 at bin 0 and -N/4 at bins +-1, so a
+        # constant signal has PSD 1/4 at DC and 2 x 1/16 at bin 1: centroid f1 / 3
+        fs = 8000
+        value = F.mean_frequency(sig([1.0] * 4096, fs))
+        assert value == pytest.approx(fs / 1024 / 3, rel=1e-9)
 
     def test_zero_power_guard(self):
         with pytest.raises(UndefinedFeatureError):
@@ -164,11 +166,15 @@ class TestDescriptiveStats:
 
 class TestEntropies:
     def test_shannon_pure_tone_rectangular(self):
+        # a bin-centred tone leaks through the Hann window into its two neighbours
+        # with amplitudes 1/4, 1/2, 1/4, so the normalized PSD over the 513 bins is
+        # 1/6, 2/3, 1/6 on those three and zero elsewhere
         fs = 16000
         t = np.arange(8192) / fs
         tone = sig(np.sin(2 * np.pi * 500 * t), fs)  # 500 Hz = bin 32 of 1024
-        value = F.shannon_entropy(tone, F.SpectralConfig(window="boxcar"))
-        assert value <= 0.1
+        shares = np.array([1 / 6, 2 / 3, 1 / 6])
+        expected = -np.sum(shares * np.log2(shares)) / math.log2(513)
+        assert F.shannon_entropy(tone) == pytest.approx(expected, rel=1e-9)
 
     def test_shannon_white_noise(self):
         vals = []
@@ -226,25 +232,36 @@ class TestExtractAll:
                          sample_rate=48000, jitter_pct=1.0, seed=2)
         signal, _ = gen_signal(spec)
         from voicepd.pitch import analyze_pitch
-        vec = F.extract_all(signal, analyze_pitch(signal))
-        assert vec.jitter_pct == pytest.approx(1.0, abs=0.2)
-        arr = vec.as_array()
-        assert np.all(np.isfinite(arr))
-        assert vec.jitter_pct >= 0 and vec.shimmer_db >= 0
-        assert vec.minimum <= vec.median <= vec.maximum
-        assert vec.std_dev**2 == pytest.approx(vec.variance, rel=1e-9)
-        assert 0 <= vec.zcr <= 1
+        row = F.extract_all(signal, analyze_pitch(signal))
+        assert row.dtype == np.float64 and row.shape == (len(F.FEATURE_NAMES),)
+        assert np.all(np.isfinite(row))
+        vec = dict(zip(F.FEATURE_NAMES, row))
+        assert vec["jitter_pct"] == pytest.approx(1.0, abs=0.2)
+        assert vec["jitter_pct"] >= 0 and vec["shimmer_db"] >= 0
+        assert vec["minimum"] <= vec["median"] <= vec["maximum"]
+        assert vec["std_dev"]**2 == pytest.approx(vec["variance"], rel=1e-9)
+        assert 0 <= vec["zcr"] <= 1
+
+    def test_row_in_feature_names_order(self):
+        spec = SynthSpec(kind="pulse_train", f0=120, duration_s=1.0, sample_rate=16000,
+                         jitter_pct=1.0, shimmer_db=0.5, seed=4)
+        signal, _ = gen_signal(spec)
+        from voicepd.pitch import analyze_pitch
+        t = analyze_pitch(signal)
+        want = {**F.descriptive_stats(signal),
+                "mean_frequency": F.mean_frequency(signal), "shimmer_db": F.shimmer(t),
+                "log_entropy": F.log_entropy(signal),
+                "power_bandwidth_hz": F.power_bandwidth(signal), "jitter_pct": F.jitter(t),
+                "mean_energy": F.mean_energy(signal), "rms": F.rms(signal),
+                "shannon_entropy": F.shannon_entropy(signal), "zcr": F.zcr(signal),
+                "sure_entropy": F.sure_entropy(signal)}
+        assert F.extract_all(signal, t).tolist() == [want[n] for n in F.FEATURE_NAMES]
 
     def test_silence_rejected(self):
         signal, _ = gen_signal(SynthSpec(kind="silence", duration_s=1.0, sample_rate=8000))
         from voicepd.pitch import analyze_pitch
         with pytest.raises(UndefinedFeatureError):
             F.extract_all(signal, analyze_pitch(signal))
-
-    def test_vector_roundtrip(self):
-        values = np.arange(19, dtype=np.float64)
-        vec = F.FeatureVector.from_array(values)
-        np.testing.assert_array_equal(vec.as_array(), values)
 
 
 SCALE_INVARIANT = ("zcr", "shannon_entropy", "skewness", "kurtosis")

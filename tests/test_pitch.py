@@ -5,14 +5,19 @@ from voicepd.audio_io import AudioSignal
 from voicepd.errors import ConfigError
 from voicepd.pitch import (
     PitchConfig,
+    _estimate_frames,
     analyze_pitch,
-    estimate_pitch,
     segment_cycles,
     track_pitch,
 )
 from voicepd.synth import SynthSpec, gen_signal
 
 CFG = PitchConfig()
+
+
+def estimate_pitch(frame, fs, config):
+    """Pitch estimate of a single frame."""
+    return _estimate_frames(np.asarray(frame, dtype=np.float64)[np.newaxis], fs, config)[0]
 
 
 class TestEstimatePitch:
