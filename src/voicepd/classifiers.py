@@ -6,6 +6,7 @@ fitted Standardizer) and are deterministic given (data, hyperparams, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,12 @@ class GaussianNaiveBayes:
         self.vars = np.maximum(
             np.array([X[y == c].var(axis=0) for c in self.classes_]), self.var_floor
         )
+        # the log-likelihood takes log(2 pi var); checked in Python floats,
+        # which overflow to inf without a numpy warning
+        largest = float(self.vars.max())
+        if 2.0 * math.pi * largest == math.inf:
+            raise DataError(f"naive Bayes variance {largest} is too large: 2 pi var "
+                            "overflows float64; lower nb_var_floor")
         return self
 
     def _log_joint(self, X: np.ndarray) -> np.ndarray:
@@ -237,8 +244,11 @@ class LinearSVM:
         # longest-running first, so the machines still stepping are a prefix
         machines.sort(key=lambda m: -m[0])
         totals = np.array([m[0] for m in machines])
-        n_max = max(len(X) for X in Xs)
-        X_pad = np.zeros((len(Xs), n_max, Xs[0].shape[1]))
+        if not math.isfinite(lr0 * lam * float(totals[0])):
+            raise DataError(f"svm_lambda {lam} is too large: lr0 * lambda * steps "
+                            f"({lr0} * {lam} * {totals[0]}) overflows float64")
+        n_max, d = max(len(X) for X in Xs), Xs[0].shape[1]
+        X_pad = np.zeros((len(Xs), n_max, d))
         targets = np.zeros((len(machines), n_max))
         for mi, X in enumerate(Xs):
             X_pad[mi, : len(X)] = X
@@ -247,12 +257,17 @@ class LinearSVM:
         owner = np.array([m[1] for m in machines])
         rngs = [np.random.default_rng(models[mi].seed + ci) for _, mi, ci, _ in machines]
         pending = [np.empty(0, dtype=np.int64) for _ in machines]
-        W = np.zeros((len(machines), X_pad.shape[2]))
-        b = np.zeros(len(machines))
+        # each machine's w and b side by side, so one masked add updates both
+        Wb = np.zeros((len(machines), d + 1))
         margin = np.zeros(len(machines))
         hit = np.zeros((len(machines), 1), dtype=bool)
+        # per step of a chunk: the hinge update (gain * x, gain) of every
+        # machine, and the decay row (1 - eta * lam, ..., 1.0) that shrinks w
+        # and leaves b as it is
+        update = np.zeros((n_max, len(machines), d + 1))
+        decay = np.ones((n_max, d + 1))
         # per active prefix: the machines' parameters, margins and hit flags
-        views = {a: (W[:a], b[:a], margin[:a], hit[:a], hit[:a, 0])
+        views = {a: (Wb[:a], Wb[:a, :d], Wb[:a, d], margin[:a], hit[:a], hit[:a, 0])
                  for a in range(1, len(machines) + 1)}
         # steps run in chunks of one epoch of the largest fit, so the sample
         # schedule in memory stays O(machines x rows) whatever the epoch count
@@ -266,29 +281,28 @@ class LinearSVM:
                 schedule[: len(take), k] = take
                 pending[k] = pending[k][len(take):]
             eta = lr0 / (1.0 + lr0 * lam * (steps + 1.0))
-            decay = 1.0 - eta * lam
+            decay[: len(steps), :d] = (1.0 - eta * lam)[:, None]
             x_steps = X_pad[owner, schedule]
             t_steps = targets[np.arange(len(machines)), schedule]
-            # each step's gain eta * target and its hinge update gain * x
-            g = eta[:, None] * t_steps
-            gx = g[:, :, None] * x_steps
+            # each step's gain eta * target, and its update
+            gain = eta[:, None] * t_steps
+            np.multiply(gain[:, :, None], x_steps, out=update[: len(steps), :, :d])
+            update[: len(steps), :, d] = gain
             active = np.count_nonzero(totals > steps[:, None], axis=1)
             for a, lo, hi in _prefix_runs(active):
-                w, bias, m, hit_col, hit = views[a]
-                run = (x_steps[lo:hi, :a], t_steps[lo:hi, :a], g[lo:hi, :a], gx[lo:hi, :a],
-                       decay[lo:hi].tolist())
-                for x, t, gain, grad, dec in zip(*run):
+                wb, w, bias, m, hit_col, hit = views[a]
+                run = (x_steps[lo:hi, :a], t_steps[lo:hi, :a], update[lo:hi, :a], decay[lo:hi])
+                for x, t, upd, dec in zip(*run):
                     # vecdot takes each row's dot product in BLAS, as `x @ w` does
                     np.vecdot(x, w, out=m)
                     m += bias
                     m *= t
                     np.less(m, 1.0, out=hit)
-                    w *= dec
-                    np.add(w, grad, out=w, where=hit_col)
-                    np.add(bias, gain, out=bias, where=hit)
+                    wb *= dec
+                    np.add(wb, upd, out=wb, where=hit_col)
         for k, (_, mi, ci, _) in enumerate(machines):
-            models[mi].W[ci] = W[k]
-            models[mi].b[ci] = b[k]
+            models[mi].W[ci] = Wb[k, :d]
+            models[mi].b[ci] = Wb[k, d]
         return models
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
@@ -323,12 +337,13 @@ class NeuralNetwork:
     mini-batch gradient descent, Glorot-uniform initialization."""
 
     def __init__(self, hidden: int = 16, lr: float = 0.01, epochs: int = 500,
-                 batch_size: int = 8, seed: int = 0):
+                 batch_size: int = 8, seed: int = 0, record_loss: bool = False):
         self.hidden = hidden
         self.lr = lr
         self.epochs = epochs
         self.batch_size = batch_size
         self.seed = seed
+        self.record_loss = record_loss  # keep the training loss after every epoch
         self.W1 = self.b1 = self.W2 = self.b2 = None
         self.n_classes = 3
         self.loss_history: list[float] = []
@@ -370,8 +385,12 @@ class NeuralNetwork:
         trained beside it.  Each epoch gathers its batches once, and a step
         works in buffers allocated once and updates the parameters in place
         through views, allocating no array.
+
+        The mean cross-entropy over all training rows is computed after every
+        epoch into `loss_history` when `record_loss` is set, and otherwise
+        once, after the last epoch, for the divergence check alone.
         """
-        if len({(m.hidden, m.lr, m.epochs, m.batch_size) for m in models}) > 1:
+        if len({(m.hidden, m.lr, m.epochs, m.batch_size, m.record_loss) for m in models}) > 1:
             raise ValueError("networks trained together must share hyperparameters")
         Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
         if any(len(X) == 0 for X in Xs):
@@ -381,6 +400,7 @@ class NeuralNetwork:
         nets = [models[i] for i in order]
         n = np.array([len(Xs[i]) for i in order])
         lr, epochs, size, h = nets[0].lr, nets[0].epochs, nets[0].batch_size, nets[0].hidden
+        record_loss = nets[0].record_loss
         M, n_max, d = len(nets), int(n[0]), Xs[0].shape[1]
         pad = n_max  # row index of an all-zero input with an all-zero target
         X_pad = np.zeros((M, n_max + 1, d))
@@ -415,7 +435,7 @@ class NeuralNetwork:
         # step buffers: hidden activation, output error, hidden error, ReLU
         # mask, and each row's softmax max, then sum
         hid, delta2, delta1 = np.zeros((M, size, h)), np.zeros((M, size, 3)), np.zeros((M, size, h))
-        relu, stat = np.zeros((M, size, h), dtype=bool), np.zeros((M, size))
+        relu, stat = np.zeros((M, size, h)), np.zeros((M, size))
         # per active prefix, the views a step works on: parameters with biases
         # shaped to add to a stacked batch, W2 and the hidden activation
         # transposed, and the output error's class columns
@@ -433,6 +453,13 @@ class NeuralNetwork:
         short = ((real.T < size) & (np.arange(M) < active[:, None])).any(axis=1).tolist()
         divisor = real.T[:, :, None, None]
         runs = _prefix_runs(active)
+
+        def losses():
+            """Each network's mean cross-entropy over its training rows."""
+            _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
+            p_true = probs[rows, np.arange(n_max), labels]
+            return [float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))) for k in range(M)]
+
         # a diverging fit overflows; it is reported once, after the loop
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
@@ -470,7 +497,9 @@ class NeuralNetwork:
                             d2 -= target
                             d2 /= size
                         np.matmul(d2, w2_t, out=d1)
-                        np.greater(hid_a, 0.0, out=relu_a)
+                        # 1.0 where the unit is on and 0.0 where it is off, as a
+                        # float, since multiplying by a bool mask casts it first
+                        np.sign(hid_a, out=relu_a)
                         d1 *= relu_a
                         np.matmul(xb_t, d1, out=g_w1)
                         np.add.reduce(d1, axis=-2, out=g_b1)
@@ -478,14 +507,15 @@ class NeuralNetwork:
                         np.add.reduce(d2, axis=-2, out=g_b2)
                         g *= lr
                         p -= g
-                _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
-                p_true = probs[rows, np.arange(n_max), labels]
-                for k, net in enumerate(nets):
-                    net.loss_history.append(float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))))
+                if record_loss:
+                    for net, loss in zip(nets, losses()):
+                        net.loss_history.append(loss)
+            last = [net.loss_history[-1] for net in nets] if record_loss else losses()
         for k, net in enumerate(nets):
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
+        last_loss = dict(zip(order, last))  # model index -> its loss after the last epoch
         for i, net in enumerate(models):
-            final = (net.loss_history[-1:], net.W1, net.b1, net.W2, net.b2)
+            final = (last_loss[i], net.W1, net.b1, net.W2, net.b2)
             if not all(np.isfinite(p).all() for p in final):
                 raise DataError(f"nn training diverged on fit {i + 1} of {M}; lower nn_lr")
         return models

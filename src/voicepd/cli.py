@@ -254,9 +254,8 @@ def cmd_synth(args) -> int:
 def cmd_plotdata(args) -> int:
     dataset = load_feature_csv(args.features)
     if args.feature not in dataset.feature_names:
-        raise VoicePDError(
-            f"unknown feature {args.feature!r}; valid names: {', '.join(FEATURE_NAMES)}"
-        )
+        raise VoicePDError(f"unknown feature {args.feature!r}; the columns of "
+                           f"{args.features!r} are: {', '.join(dataset.feature_names)}")
     j = dataset.feature_names.index(args.feature)
     with open_output(args.out) as fh:
         fh.write("class,recording,value\n")

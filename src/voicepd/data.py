@@ -113,6 +113,9 @@ def load_feature_csv(path: str) -> LabeledDataset:
     if header[-1] != "label":
         raise DataError(f"feature CSV {path!r} must end with a `label` column")
     names = header[:-1]
+    unnamed = next((j for j, n in enumerate(names) if not n.strip()), None)
+    if unnamed is not None:
+        raise DataError(f"feature CSV {path!r} has no name for column {unnamed + 1}")
     repeated = next((n for i, n in enumerate(header) if n in header[:i]), None)
     if repeated is not None:
         raise DataError(f"feature CSV {path!r} has more than one column named {repeated!r}")

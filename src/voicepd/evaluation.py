@@ -113,7 +113,12 @@ def stratified_split(dataset: LabeledDataset, test_fraction: float,
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(dataset)
+    if n == 0:
+        raise DataError("the dataset has no rows to split")
     target = _round_half_up(n * test_fraction)
+    if not 0 < target < n:
+        side = "holdout" if target == 0 else "training"
+        raise DataError(f"test_fraction {test_fraction} of {n} rows leaves an empty {side} set")
     classes = sorted(int(c) for c in np.unique(dataset.labels))
     exact = {c: np.count_nonzero(dataset.labels == c) * test_fraction for c in classes}
     counts = {c: _round_half_up(exact[c]) for c in classes}

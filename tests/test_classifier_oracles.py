@@ -540,7 +540,8 @@ class TestSvmOracle:
 class TestNeuralNetworkOracle:
     def _check(self, sizes, batch_size, tol):
         fits = uneven_fits(sizes=sizes, seed=1)
-        models = [NeuralNetwork(hidden=7, epochs=12, batch_size=batch_size, seed=3) for _ in fits]
+        models = [NeuralNetwork(hidden=7, epochs=12, batch_size=batch_size, seed=3,
+                                record_loss=True) for _ in fits]
         NeuralNetwork.fit_many(models, [X for X, _ in fits], [y for _, y in fits])
         for model, (X, y) in zip(models, fits):
             params, history = oracle_nn(X, y, 7, 0.01, 12, batch_size, 3)
@@ -592,7 +593,8 @@ class TestLockstepOracle:
         fits = lockstep_cases()[case]
         Xs, ys = [X for X, _ in fits], [y for _, y in fits]
         epochs = 3 if case == "evaluate_large" else 12
-        make = lambda: NeuralNetwork(hidden=7, epochs=epochs, batch_size=8, seed=3)
+        make = lambda: NeuralNetwork(hidden=7, epochs=epochs, batch_size=8, seed=3,
+                                     record_loss=True)
         models, expected = [make() for _ in fits], [make() for _ in fits]
         NeuralNetwork.fit_many(models, Xs, ys)
         oracle_lockstep_nn(expected, Xs, ys)

@@ -132,11 +132,37 @@ class TestNeuralNetworkGradients:
             assert num / den < 1e-4, name
 
     def test_loss_nonincreasing_on_blobs(self, blobs):
-        model = train("nn", blobs, {"epochs": 200}, seed=1)
+        model = train("nn", blobs, {"epochs": 200, "record_loss": True}, seed=1)
         losses = np.array(model.model.loss_history)
+        assert len(losses) == 200
         # windowed check: allow small transient upticks
         for start in range(0, len(losses) - 50, 50):
             assert losses[start + 50] <= losses[start] * 1.05
+
+
+class TestNeuralNetworkLossPass:
+    @pytest.mark.parametrize("record_loss,passes", [(False, 1), (True, 7)])
+    def test_forward_passes_per_fit(self, monkeypatch, record_loss, passes):
+        """The loss over all training rows runs after every epoch only when
+        asked for; otherwise once, for the divergence check."""
+        from voicepd import classifiers
+        calls = []
+        forward = classifiers._forward
+        monkeypatch.setattr(classifiers, "_forward",
+                            lambda *args: calls.append(args[0].shape) or forward(*args))
+        rng = np.random.default_rng(3)
+        fits = [(rng.standard_normal((n, 4)), rng.integers(0, 3, size=n)) for n in (30, 25)]
+        make = lambda: NeuralNetwork(hidden=5, epochs=7, seed=2, record_loss=record_loss)
+        models = NeuralNetwork.fit_many([make(), make()], *zip(*fits))
+        assert calls == [(2, 30, 4)] * passes
+        assert [len(m.loss_history) for m in models] == [7 if record_loss else 0] * 2
+        # the flag changes no parameter
+        recorded = NeuralNetwork.fit_many(
+            [NeuralNetwork(hidden=5, epochs=7, seed=2, record_loss=True) for _ in fits],
+            *zip(*fits))
+        for model, want in zip(models, recorded):
+            for name in ("W1", "b1", "W2", "b2"):
+                assert getattr(model, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestDeterminismAndInvariance:

@@ -322,6 +322,15 @@ class TestRunConfig:
         ({}, ["--seed", -1], "seed must be >= 0"),
         ({"seed": -1}, [], "seed must be >= 0"),
         ({"algorithm": "knn"}, [], "unknown config keys: ['algorithm']"),
+        # valid values the trainers cannot use: a later --algorithm overrides nn
+        ({}, ["--algorithm", "svm", "--cv-k", 3, "--svm-lambda", "1e308"],
+         "svm_lambda 1e+308 is too large"),
+        ({}, ["--algorithm", "nb", "--cv-k", 3, "--nb-var-floor", "1e308"],
+         "lower nb_var_floor"),
+        ({}, ["--test-fraction", 0.01, "--cv-k", 3],
+         "test_fraction 0.01 of 30 rows leaves an empty holdout set"),
+        ({}, ["--test-fraction", 0.99, "--cv-k", 3],
+         "test_fraction 0.99 of 30 rows leaves an empty training set"),
     ])
     def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
         from voicepd.data import save_feature_csv
@@ -330,9 +339,15 @@ class TestRunConfig:
         save_feature_csv(str(features), gen_blobs(10, seed=0))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        assert run("evaluate", "--features", features, "--algorithm", "nn",
-                   "--config", cfg_path, *flags) == 2
-        assert message in capsys.readouterr().err
+        # outside pytest a numpy RuntimeWarning prints to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("evaluate", "--features", features, "--algorithm", "nn",
+                       "--config", cfg_path, *flags) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("flags,message", [
         (["--hop-ms", 0], "hop_ms must be > 0"),
@@ -414,6 +429,16 @@ def _bad_input_case(case, tmp_path):
         bad = tmp_path / "repeated.csv"
         bad.write_text("a,a,label\n1.0,2.0,0\n3.0,4.0,1\n")
         return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
+    if case == "features_unnamed_column_rank":
+        bad = tmp_path / "unnamed.csv"
+        bad.write_text("a,,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
+    if case == "plotdata_feature_not_in_file":
+        # a feature of the extract table that this file does not hold
+        table = tmp_path / "ab.csv"
+        table.write_text("a,b,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        return ["plotdata", "--features", table, "--feature", "rms",
+                "--out", tmp_path / "p.csv"], table
     if case == "out_dir_missing_rank":
         return ["rank", "--features", features, "--out", out_in_missing_dir], out_in_missing_dir
     if case == "out_dir_missing_evaluate":
@@ -431,18 +456,25 @@ def _bad_input_case(case, tmp_path):
     "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
     "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
     "out_dir_missing_plotdata", "out_dir_is_a_file_synth", "features_repeated_column_rank",
-    *_NONFINITE,
+    *_NONFINITE, "features_unnamed_column_rank", "plotdata_feature_not_in_file",
 ])
 def test_bad_input_file_exit_2(tmp_path, capsys, case):
     argv, path = _bad_input_case(case, tmp_path)
     capsys.readouterr()
-    assert run(*argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1 and [str(w.message) for w in caught] == []
     if case in _NONFINITE:
         assert "line 5:" in err and "not a finite number" in err
     if case == "features_repeated_column_rank":
         assert "more than one column named 'a'" in err
+    if case == "features_unnamed_column_rank":
+        assert "no name for column 2" in err
+    if case == "plotdata_feature_not_in_file":
+        assert err.endswith("are: a, b\n")
 
 
 def test_extract_unwritable_out_decodes_nothing(tmp_path, capsys, monkeypatch):
