@@ -337,16 +337,14 @@ class NeuralNetwork:
     mini-batch gradient descent, Glorot-uniform initialization."""
 
     def __init__(self, hidden: int = 16, lr: float = 0.01, epochs: int = 500,
-                 batch_size: int = 8, seed: int = 0, record_loss: bool = False):
+                 batch_size: int = 8, seed: int = 0):
         self.hidden = hidden
         self.lr = lr
         self.epochs = epochs
         self.batch_size = batch_size
         self.seed = seed
-        self.record_loss = record_loss  # keep the training loss after every epoch
         self.W1 = self.b1 = self.W2 = self.b2 = None
         self.n_classes = 3
-        self.loss_history: list[float] = []
 
     def init_params(self, n_features: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(self.seed)
@@ -386,11 +384,10 @@ class NeuralNetwork:
         works in buffers allocated once and updates the parameters in place
         through views, allocating no array.
 
-        The mean cross-entropy over all training rows is computed after every
-        epoch into `loss_history` when `record_loss` is set, and otherwise
-        once, after the last epoch, for the divergence check alone.
+        The mean cross-entropy over all training rows is computed once, after
+        the last epoch, for the divergence check.
         """
-        if len({(m.hidden, m.lr, m.epochs, m.batch_size, m.record_loss) for m in models}) > 1:
+        if len({(m.hidden, m.lr, m.epochs, m.batch_size) for m in models}) > 1:
             raise ValueError("networks trained together must share hyperparameters")
         Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
         if any(len(X) == 0 for X in Xs):
@@ -400,7 +397,6 @@ class NeuralNetwork:
         nets = [models[i] for i in order]
         n = np.array([len(Xs[i]) for i in order])
         lr, epochs, size, h = nets[0].lr, nets[0].epochs, nets[0].batch_size, nets[0].hidden
-        record_loss = nets[0].record_loss
         M, n_max, d = len(nets), int(n[0]), Xs[0].shape[1]
         pad = n_max  # row index of an all-zero input with an all-zero target
         X_pad = np.zeros((M, n_max + 1, d))
@@ -422,7 +418,6 @@ class NeuralNetwork:
             labels[k, : n[k]] = y
             rngs.append(np.random.default_rng(net.seed))
             net.init_params(d, rngs[-1])
-            net.loss_history = []
             W1[k], b1[k], W2[k], b2[k] = net.W1, net.b1, net.W2, net.b2
         n_batches = -(-n // size)
         active = np.count_nonzero(n_batches > np.arange(n_batches[0])[:, None], axis=1)
@@ -453,13 +448,6 @@ class NeuralNetwork:
         short = ((real.T < size) & (np.arange(M) < active[:, None])).any(axis=1).tolist()
         divisor = real.T[:, :, None, None]
         runs = _prefix_runs(active)
-
-        def losses():
-            """Each network's mean cross-entropy over its training rows."""
-            _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
-            p_true = probs[rows, np.arange(n_max), labels]
-            return [float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))) for k in range(M)]
-
         # a diverging fit overflows; it is reported once, after the loop
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
@@ -507,10 +495,10 @@ class NeuralNetwork:
                         np.add.reduce(d2, axis=-2, out=g_b2)
                         g *= lr
                         p -= g
-                if record_loss:
-                    for net, loss in zip(nets, losses()):
-                        net.loss_history.append(loss)
-            last = [net.loss_history[-1] for net in nets] if record_loss else losses()
+            # each network's mean cross-entropy over its training rows
+            _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
+            p_true = probs[rows, np.arange(n_max), labels]
+            last = [float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))) for k in range(M)]
         for k, net in enumerate(nets):
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
         last_loss = dict(zip(order, last))  # model index -> its loss after the last epoch

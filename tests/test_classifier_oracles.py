@@ -539,15 +539,21 @@ class TestSvmOracle:
 
 class TestNeuralNetworkOracle:
     def _check(self, sizes, batch_size, tol):
+        """Parameters after every epoch count up to 12, and the loss over all
+        training rows computed from them, against the per-network loop."""
         fits = uneven_fits(sizes=sizes, seed=1)
-        models = [NeuralNetwork(hidden=7, epochs=12, batch_size=batch_size, seed=3,
-                                record_loss=True) for _ in fits]
-        NeuralNetwork.fit_many(models, [X for X, _ in fits], [y for _, y in fits])
-        for model, (X, y) in zip(models, fits):
-            params, history = oracle_nn(X, y, 7, 0.01, 12, batch_size, 3)
-            for name, value in params.items():
-                np.testing.assert_allclose(getattr(model, name), value, rtol=0, atol=tol)
-            np.testing.assert_allclose(model.loss_history, history, rtol=0, atol=tol)
+        Xs, ys = [X for X, _ in fits], [y for _, y in fits]
+        for epochs in range(1, 13):
+            models = [NeuralNetwork(hidden=7, epochs=epochs, batch_size=batch_size, seed=3)
+                      for _ in fits]
+            NeuralNetwork.fit_many(models, Xs, ys)
+            for model, (X, y) in zip(models, fits):
+                params, history = oracle_nn(X, y, 7, 0.01, epochs, batch_size, 3)
+                got = {name: getattr(model, name) for name in params}
+                for name, value in params.items():
+                    np.testing.assert_allclose(got[name], value, rtol=0, atol=tol)
+                loss = _oracle_loss_and_gradients(X, y, got)[0]
+                np.testing.assert_allclose(loss, history[-1], rtol=0, atol=tol)
 
     def test_full_batches_exact(self):
         self._check((64, 72, 80), 8, 0.0)
@@ -592,16 +598,16 @@ class TestLockstepOracle:
     def test_nn_bit_identical(self, case):
         fits = lockstep_cases()[case]
         Xs, ys = [X for X, _ in fits], [y for _, y in fits]
-        epochs = 3 if case == "evaluate_large" else 12
-        make = lambda: NeuralNetwork(hidden=7, epochs=epochs, batch_size=8, seed=3,
-                                     record_loss=True)
-        models, expected = [make() for _ in fits], [make() for _ in fits]
-        NeuralNetwork.fit_many(models, Xs, ys)
-        oracle_lockstep_nn(expected, Xs, ys)
-        for model, want in zip(models, expected):
-            for name in ("W1", "b1", "W2", "b2"):
-                assert_bit_equal(getattr(model, name), getattr(want, name))
-            assert_bit_equal(model.loss_history, want.loss_history)
+        # every epoch count up to the last: a fit of e epochs has the
+        # parameters a longer fit had after epoch e
+        for epochs in range(1, 4 if case == "evaluate_large" else 13):
+            make = lambda: NeuralNetwork(hidden=7, epochs=epochs, batch_size=8, seed=3)
+            models, expected = [make() for _ in fits], [make() for _ in fits]
+            NeuralNetwork.fit_many(models, Xs, ys)
+            oracle_lockstep_nn(expected, Xs, ys)
+            for model, want in zip(models, expected):
+                for name in ("W1", "b1", "W2", "b2"):
+                    assert_bit_equal(getattr(model, name), getattr(want, name))
 
 
 class TestBatchIndependence:
