@@ -183,11 +183,14 @@ class GaussianNaiveBayes:
         X = np.asarray(X)
         out = np.zeros((len(X), len(self.classes_)))
         for ci in range(len(self.classes_)):
-            ll = -0.5 * np.sum(
-                np.log(2.0 * np.pi * self.vars[ci])
-                + (X - self.means[ci]) ** 2 / self.vars[ci],
-                axis=1,
-            )
+            # over a subnormal variance the squared distance can overflow to
+            # inf, which gives the right limit, a log-likelihood of -inf
+            with np.errstate(over="ignore"):
+                ll = -0.5 * np.sum(
+                    np.log(2.0 * np.pi * self.vars[ci])
+                    + (X - self.means[ci]) ** 2 / self.vars[ci],
+                    axis=1,
+                )
             out[:, ci] = np.log(self.priors[ci]) + ll
         return out
 
@@ -196,13 +199,6 @@ class GaussianNaiveBayes:
 
 
 # --- linear one-vs-rest SVM ------------------------------------------------
-
-def _prefix_runs(active: np.ndarray) -> list[tuple[int, int, int]]:
-    """(a, lo, hi) for each run of steps lo..hi-1 on which the first a of the
-    models trained in lockstep are active; such a run shares one set of views."""
-    cuts = [0, *(np.flatnonzero(np.diff(active)) + 1).tolist(), len(active)]
-    return [(int(active[lo]), lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
 
 class LinearSVM:
     """Primal sub-gradient descent on hinge loss, one binary machine per class."""
@@ -225,8 +221,10 @@ class LinearSVM:
 
         Machine ci of a model visits its rows in the order of per-epoch
         permutations from default_rng(seed + ci) and takes step t with
-        eta = lr0 / (1 + lr0 * lam * t).  All machines take step t together,
-        so a model's W and b are those it gets when trained alone.
+        eta = lr0 / (1 + lr0 * lam * t).  All machines take step t together;
+        past its last step a machine takes eta = 0, a step that leaves its w
+        and b as they are, so a model's W and b are those it gets when
+        trained alone.
         """
         lam, lr0 = models[0].lam, models[0].lr0
         if any((m.lam, m.lr0) != (lam, lr0) for m in models):
@@ -241,12 +239,11 @@ class LinearSVM:
             model.b = np.zeros(len(model.classes_))
             machines += [(model.epochs * len(X), mi, ci, len(X))
                          for ci in range(len(model.classes_))]
-        # longest-running first, so the machines still stepping are a prefix
-        machines.sort(key=lambda m: -m[0])
         totals = np.array([m[0] for m in machines])
-        if not math.isfinite(lr0 * lam * float(totals[0])):
+        n_steps = int(totals.max())
+        if not math.isfinite(lr0 * lam * float(n_steps)):
             raise DataError(f"svm_lambda {lam} is too large: lr0 * lambda * steps "
-                            f"({lr0} * {lam} * {totals[0]}) overflows float64")
+                            f"({lr0} * {lam} * {n_steps}) overflows float64")
         n_max, d = max(len(X) for X in Xs), Xs[0].shape[1]
         X_pad = np.zeros((len(Xs), n_max, d))
         targets = np.zeros((len(machines), n_max))
@@ -259,20 +256,20 @@ class LinearSVM:
         pending = [np.empty(0, dtype=np.int64) for _ in machines]
         # each machine's w and b side by side, so one masked add updates both
         Wb = np.zeros((len(machines), d + 1))
+        W, bias = Wb[:, :d], Wb[:, d]
         margin = np.zeros(len(machines))
         hit = np.zeros((len(machines), 1), dtype=bool)
+        hit_row = hit[:, 0]
+        # steps run in chunks of 128, so the schedule and the per-step arrays
+        # stay O(machines x 128 x d) in memory whatever the row and epoch counts
+        chunk = 128
         # per step of a chunk: the hinge update (gain * x, gain) of every
-        # machine, and the decay row (1 - eta * lam, ..., 1.0) that shrinks w
+        # machine, and its decay (1 - eta * lam, ..., 1.0), which shrinks w
         # and leaves b as it is
-        update = np.zeros((n_max, len(machines), d + 1))
-        decay = np.ones((n_max, d + 1))
-        # per active prefix: the machines' parameters, margins and hit flags
-        views = {a: (Wb[:a], Wb[:a, :d], Wb[:a, d], margin[:a], hit[:a], hit[:a, 0])
-                 for a in range(1, len(machines) + 1)}
-        # steps run in chunks of one epoch of the largest fit, so the sample
-        # schedule in memory stays O(machines x rows) whatever the epoch count
-        for start in range(0, int(totals[0]), n_max):
-            steps = np.arange(start, min(start + n_max, int(totals[0])))
+        update = np.zeros((chunk, len(machines), d + 1))
+        decay = np.ones((chunk, len(machines), d + 1))
+        for start in range(0, n_steps, chunk):
+            steps = np.arange(start, min(start + chunk, n_steps))[:, None]
             schedule = np.zeros((len(steps), len(machines)), dtype=np.int64)
             for k, (total, _, _, n) in enumerate(machines):
                 while len(pending[k]) < len(steps) and start + len(pending[k]) < total:
@@ -280,29 +277,26 @@ class LinearSVM:
                 take = pending[k][: len(steps)]
                 schedule[: len(take), k] = take
                 pending[k] = pending[k][len(take):]
-            eta = lr0 / (1.0 + lr0 * lam * (steps + 1.0))
-            decay[: len(steps), :d] = (1.0 - eta * lam)[:, None]
+            # eta per (step, machine), 0 past the machine's last step, where
+            # its decay is then 1.0 and its update (0 * x, 0)
+            eta = np.where(steps < totals, lr0 / (1.0 + lr0 * lam * (steps + 1.0)), 0.0)
+            decay[: len(steps), :, :d] = (1.0 - eta * lam)[:, :, None]
             x_steps = X_pad[owner, schedule]
             t_steps = targets[np.arange(len(machines)), schedule]
-            # each step's gain eta * target, and its update
-            gain = eta[:, None] * t_steps
+            gain = eta * t_steps
             np.multiply(gain[:, :, None], x_steps, out=update[: len(steps), :, :d])
             update[: len(steps), :, d] = gain
-            active = np.count_nonzero(totals > steps[:, None], axis=1)
-            for a, lo, hi in _prefix_runs(active):
-                wb, w, bias, m, hit_col, hit = views[a]
-                run = (x_steps[lo:hi, :a], t_steps[lo:hi, :a], update[lo:hi, :a], decay[lo:hi])
-                for x, t, upd, dec in zip(*run):
-                    # vecdot takes each row's dot product in BLAS, as `x @ w` does
-                    np.vecdot(x, w, out=m)
-                    m += bias
-                    m *= t
-                    np.less(m, 1.0, out=hit)
-                    wb *= dec
-                    np.add(wb, upd, out=wb, where=hit_col)
+            for x, t, upd, dec in zip(x_steps, t_steps, update, decay):
+                # vecdot takes each row's dot product in BLAS, as `x @ w` does
+                np.vecdot(x, W, out=margin)
+                margin += bias
+                margin *= t
+                np.less(margin, 1.0, out=hit_row)
+                Wb *= dec
+                np.add(Wb, upd, out=Wb, where=hit)
         for k, (_, mi, ci, _) in enumerate(machines):
-            models[mi].W[ci] = Wb[k, :d]
-            models[mi].b[ci] = Wb[k, d]
+            models[mi].W[ci] = W[k]
+            models[mi].b[ci] = bias[k]
         return models
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
@@ -379,10 +373,11 @@ class NeuralNetwork:
         epoch, from default_rng(seed), as when trained alone.  Batch k of
         every network's epoch is one stacked (M, B, d) step.  A short last
         batch is zero-padded, masked out of the output error and divided by
-        its real size, so a network's weights do not depend on the networks
-        trained beside it.  Each epoch gathers its batches once, and a step
-        works in buffers allocated once and updates the parameters in place
-        through views, allocating no array.
+        its real size, and a network with no batch k steps on padding alone,
+        whose gradient is exactly zero, so a network's weights do not depend
+        on the networks trained beside it.  Each epoch gathers its batches
+        once, and a step works in buffers allocated once and updates the
+        parameters in place through views, allocating no array.
 
         The mean cross-entropy over all training rows is computed once, after
         the last epoch, for the divergence check.
@@ -392,12 +387,10 @@ class NeuralNetwork:
         Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
         if any(len(X) == 0 for X in Xs):
             raise DataError("cannot fit neural network on an empty dataset")
-        # largest fit first, so the networks still stepping are a prefix
-        order = sorted(range(len(models)), key=lambda i: -len(Xs[i]))
-        nets = [models[i] for i in order]
-        n = np.array([len(Xs[i]) for i in order])
-        lr, epochs, size, h = nets[0].lr, nets[0].epochs, nets[0].batch_size, nets[0].hidden
-        M, n_max, d = len(nets), int(n[0]), Xs[0].shape[1]
+        n = np.array([len(X) for X in Xs])
+        first = models[0]
+        lr, epochs, size, h = first.lr, first.epochs, first.batch_size, first.hidden
+        M, n_max, d = len(models), int(n.max()), Xs[0].shape[1]
         pad = n_max  # row index of an all-zero input with an all-zero target
         X_pad = np.zeros((M, n_max + 1, d))
         onehot = np.zeros((M, n_max + 1, 3))
@@ -408,46 +401,40 @@ class NeuralNetwork:
         shapes = ((d, h), (h,), (h, 3), (3,))
         bounds = np.cumsum([0, d * h, h, h * 3, 3]).tolist()
         P, G = np.zeros((2, M, bounds[-1]))
-        W1, b1, W2, b2, *grads = (x[:, lo:hi].reshape(M, *s) for x in (P, G)
-                                  for lo, hi, s in zip(bounds, bounds[1:], shapes))
+        W1, b1, W2, b2, g_w1, g_b1, g_w2, g_b2 = (x[:, lo:hi].reshape(M, *s) for x in (P, G)
+                                                  for lo, hi, s in zip(bounds, bounds[1:], shapes))
         rngs = []
-        for k, (i, net) in enumerate(zip(order, nets)):
-            y = np.asarray(ys[i], dtype=np.int64)
-            X_pad[k, : n[k]] = Xs[i]
+        for k, (net, X, y) in enumerate(zip(models, Xs, ys)):
+            y = np.asarray(y, dtype=np.int64)
+            X_pad[k, : n[k]] = X
             onehot[k, np.arange(n[k]), y] = 1.0
             labels[k, : n[k]] = y
             rngs.append(np.random.default_rng(net.seed))
             net.init_params(d, rngs[-1])
             W1[k], b1[k], W2[k], b2[k] = net.W1, net.b1, net.W2, net.b2
-        n_batches = -(-n // size)
-        active = np.count_nonzero(n_batches > np.arange(n_batches[0])[:, None], axis=1)
-        # real rows in batch k of each network (1 where it has no batch k and idles)
-        real = np.clip(n[:, None] - size * np.arange(n_batches[0]), 1, size)
+        n_batches = -(-n_max // size)
+        # rows of each network in batch k: fewer than size in a short last
+        # batch, and none where the network has no batch k and idles on padding
+        filled = n[:, None] - size * np.arange(n_batches)
+        # only a step where some batch holds padding needs the pad mask and the
+        # per-network divisor: elsewhere p * 1.0 == p and p / real == p / size,
+        # so skipping them leaves every bit as it was
+        short = (filled < size).any(axis=0).tolist()
+        # the divisor is clipped to 1 for an idle network, whose error is all 0
+        divisor = np.clip(filled, 1, size).T[:, :, None, None]
         rows = np.arange(M)[:, None]
-        schedule = np.full((M, n_batches[0] * size), pad)
+        schedule = np.full((M, n_batches * size), pad)
         # (step, network, row) indices of one epoch's batches
-        batches = schedule.reshape(M, n_batches[0], size).transpose(1, 0, 2)
+        batches = schedule.reshape(M, n_batches, size).transpose(1, 0, 2)
         # step buffers: hidden activation, output error, hidden error, ReLU
         # mask, and each row's softmax max, then sum
         hid, delta2, delta1 = np.zeros((M, size, h)), np.zeros((M, size, 3)), np.zeros((M, size, h))
         relu, stat = np.zeros((M, size, h)), np.zeros((M, size))
-        # per active prefix, the views a step works on: parameters with biases
-        # shaped to add to a stacked batch, W2 and the hidden activation
-        # transposed, and the output error's class columns
-        views = {}
-        for a in set(active.tolist()):
-            w1, c1, w2, c2, g_w1, g_b1, g_w2, g_b2, hid_a, d2, d1, relu_a, stat_a = (
-                x[:a] for x in (W1, b1, W2, b2, *grads, hid, delta2, delta1, relu, stat))
-            views[a] = (P[:a], G[:a], w1, c1[:, None, :], w2, c2[:, None, :],
-                        np.swapaxes(w2, -1, -2), g_w1, g_b1, g_w2, g_b2, hid_a,
-                        np.swapaxes(hid_a, -1, -2), d2, *np.moveaxis(d2, -1, 0), d1, relu_a,
-                        stat_a, stat_a[:, :, None])
-        # only a step where some active network has a short batch needs the pad
-        # mask and the per-network divisor: elsewhere p * 1.0 == p and
-        # p / real == p / size, so skipping them leaves every bit as it was
-        short = ((real.T < size) & (np.arange(M) < active[:, None])).any(axis=1).tolist()
-        divisor = real.T[:, :, None, None]
-        runs = _prefix_runs(active)
+        # biases shaped to add to a stacked batch, W2 and the hidden activation
+        # transposed, the output error's class columns and the stat as a column
+        b1_rows, b2_rows, stat_col = b1[:, None, :], b2[:, None, :], stat[:, :, None]
+        W2_t, hid_t = np.swapaxes(W2, -1, -2), np.swapaxes(hid, -1, -2)
+        d2_0, d2_1, d2_2 = np.moveaxis(delta2, -1, 0)
         # a diverging fit overflows; it is reported once, after the loop
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
@@ -456,56 +443,48 @@ class NeuralNetwork:
                 xb_all = X_pad[rows.T[:, :, None], batches]
                 onehot_all = onehot[rows.T[:, :, None], batches]
                 keep_all = (batches != pad)[..., None]
-                for a, lo, hi in runs:
-                    (p, g, w1, c1_rows, w2, c2_rows, w2_t, g_w1, g_b1, g_w2, g_b2, hid_a, hid_t,
-                     d2, d2_0, d2_1, d2_2, d1, relu_a, stat_a, stat_col) = views[a]
-                    run = (xb_all[lo:hi, :a], np.swapaxes(xb_all[lo:hi, :a], -1, -2),
-                           onehot_all[lo:hi, :a], keep_all[lo:hi, :a], divisor[lo:hi, :a],
-                           short[lo:hi])
-                    for xb, xb_t, target, keep, div, is_short in zip(*run):
-                        # forward: hidden ReLU activation, then softmax probabilities
-                        np.matmul(xb, w1, out=hid_a)
-                        hid_a += c1_rows
-                        np.maximum(hid_a, 0.0, out=hid_a)
-                        np.matmul(hid_a, w2, out=d2)
-                        d2 += c2_rows
-                        np.maximum(d2_0, d2_1, out=stat_a)
-                        np.maximum(stat_a, d2_2, out=stat_a)
-                        d2 -= stat_col
-                        np.exp(d2, out=d2)
-                        np.add(d2_0, d2_1, out=stat_a)
-                        stat_a += d2_2
-                        d2 /= stat_col
-                        # output error over the real rows, divided by their count
-                        if is_short:
-                            d2 *= keep
-                            d2 -= target
-                            d2 /= div
-                        else:
-                            d2 -= target
-                            d2 /= size
-                        np.matmul(d2, w2_t, out=d1)
-                        # 1.0 where the unit is on and 0.0 where it is off, as a
-                        # float, since multiplying by a bool mask casts it first
-                        np.sign(hid_a, out=relu_a)
-                        d1 *= relu_a
-                        np.matmul(xb_t, d1, out=g_w1)
-                        np.add.reduce(d1, axis=-2, out=g_b1)
-                        np.matmul(hid_t, d2, out=g_w2)
-                        np.add.reduce(d2, axis=-2, out=g_b2)
-                        g *= lr
-                        p -= g
+                for xb, xb_t, target, keep, div, is_short in zip(
+                        xb_all, np.swapaxes(xb_all, -1, -2), onehot_all, keep_all, divisor, short):
+                    # forward: hidden ReLU activation, then softmax probabilities
+                    np.matmul(xb, W1, out=hid)
+                    hid += b1_rows
+                    np.maximum(hid, 0.0, out=hid)
+                    np.matmul(hid, W2, out=delta2)
+                    delta2 += b2_rows
+                    np.maximum(d2_0, d2_1, out=stat)
+                    np.maximum(stat, d2_2, out=stat)
+                    delta2 -= stat_col
+                    np.exp(delta2, out=delta2)
+                    np.add(d2_0, d2_1, out=stat)
+                    stat += d2_2
+                    delta2 /= stat_col
+                    # output error over the real rows, divided by their count
+                    if is_short:
+                        delta2 *= keep
+                        delta2 -= target
+                        delta2 /= div
+                    else:
+                        delta2 -= target
+                        delta2 /= size
+                    np.matmul(delta2, W2_t, out=delta1)
+                    # 1.0 where the unit is on and 0.0 where it is off, as a
+                    # float, since multiplying by a bool mask casts it first
+                    np.sign(hid, out=relu)
+                    delta1 *= relu
+                    np.matmul(xb_t, delta1, out=g_w1)
+                    np.add.reduce(delta1, axis=-2, out=g_b1)
+                    np.matmul(hid_t, delta2, out=g_w2)
+                    np.add.reduce(delta2, axis=-2, out=g_b2)
+                    G *= lr
+                    P -= G
             # each network's mean cross-entropy over its training rows
             _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
             p_true = probs[rows, np.arange(n_max), labels]
             last = [float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))) for k in range(M)]
-        for k, net in enumerate(nets):
+        for k, net in enumerate(models):
+            if not (math.isfinite(last[k]) and np.isfinite(P[k]).all()):
+                raise DataError(f"nn training diverged on fit {k + 1} of {M}; lower nn_lr")
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
-        last_loss = dict(zip(order, last))  # model index -> its loss after the last epoch
-        for i, net in enumerate(models):
-            final = (last_loss[i], net.W1, net.b1, net.W2, net.b2)
-            if not all(np.isfinite(p).all() for p in final):
-                raise DataError(f"nn training diverged on fit {i + 1} of {M}; lower nn_lr")
         return models
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:

@@ -292,12 +292,12 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True,
                    choices=["pulse", "pulse_train", "sine", "noise", "white_noise", "silence"])
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--f0", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--sample-rate", type=int, default=48000)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--shimmer", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--f0", type=float, default=SynthSpec.f0)
+    p.add_argument("--duration", type=float, default=SynthSpec.duration_s)
+    p.add_argument("--sample-rate", type=int, default=SynthSpec.sample_rate)
+    p.add_argument("--jitter", type=float, default=SynthSpec.jitter_pct)
+    p.add_argument("--shimmer", type=float, default=SynthSpec.shimmer_db)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--name", default=None)
     p.set_defaults(func=cmd_synth)
 

@@ -567,11 +567,16 @@ def lockstep_cases():
     uneven = uneven_fits()
     X, y = uneven[1]
     two_class = [(X[y != 1], y[y != 1])]
+    largest_first = uneven_fits(sizes=(80, 33, 61), seed=7)
+    X2, y2 = largest_first[2]
     return {
         "uneven": uneven,
         "full_batches": uneven_fits(sizes=(64, 72, 80), seed=1),
         "two_class": two_class,
         "with_two_class": [uneven[0], two_class[0], uneven[2]],
+        # the largest fit first and sizes batches apart, with a two-class fit
+        # (classes 0 and 2) last: no fit's result depends on where it is listed
+        "largest_first": [*largest_first[:2], (X2, np.where(y2 == 1, 2, y2))],
         # evaluate-large: five 272-row folds with full batches of 8 and a
         # 340-row holdout fit whose last batch has 4 rows
         "evaluate_large": uneven_fits(sizes=(272,) * 5 + (340,), d=8, seed=6),
@@ -622,6 +627,18 @@ class TestBatchIndependence:
         for seed, model, (X, y) in zip((0, 1, 2), together, fits):
             alone = make(seed).fit(X, y)
             for name in names:
+                assert_bit_equal(getattr(model, name), getattr(alone, name))
+
+    def test_nn_batch_of_one(self):
+        # every batch is full, so only the networks that have run out of
+        # rows step on padding, and their error must still be masked to 0
+        fits = uneven_fits(sizes=(9, 14, 11), seed=5)
+        make = lambda: NeuralNetwork(hidden=5, epochs=3, batch_size=1, seed=2)
+        together = [make() for _ in fits]
+        NeuralNetwork.fit_many(together, [X for X, _ in fits], [y for _, y in fits])
+        for model, (X, y) in zip(together, fits):
+            alone = make().fit(X, y)
+            for name in ("W1", "b1", "W2", "b2"):
                 assert_bit_equal(getattr(model, name), getattr(alone, name))
 
 

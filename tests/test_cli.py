@@ -57,6 +57,19 @@ class TestSynthCommand:
     def test_usage_error_exit_1(self):
         assert run("synth", "--kind", "triangle", "--out-dir", "/tmp/x") == 1
 
+    def test_flag_defaults_are_spec_defaults(self, tmp_path, monkeypatch):
+        from voicepd import cli
+        from voicepd.synth import SynthSpec
+        specs, gen_signal = [], cli.gen_signal
+
+        def spy(spec):
+            specs.append(spec)
+            return gen_signal(spec)
+
+        monkeypatch.setattr(cli, "gen_signal", spy)
+        assert run("synth", "--kind", "pulse_train", "--out-dir", tmp_path, "--name", "x") == 0
+        assert specs == [SynthSpec()]
+
     @pytest.mark.parametrize("flags,message", [
         (["--f0", -5], "f0 must be positive"),
         (["--f0", 0], "f0 must be positive"),
@@ -237,6 +250,27 @@ def test_overflowing_column_exit_2(tmp_path, capsys, command):
     else:
         assert "too large to standardize" in err
     assert not out.exists()
+
+
+def test_nb_subnormal_var_floor_exit_0(tmp_path):
+    """A feature constant within a class keeps only the subnormal variance
+    floor, so a row off that constant has log-likelihood -inf for the class,
+    reached without a numpy warning."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1, 2], 12)
+    a = rng.standard_normal(36) + labels
+    b = np.where(labels == 0, 5.0, rng.standard_normal(36) + labels)
+    path = tmp_path / "const.csv"
+    path.write_text("a,b,label\n" + "".join(f"{x!r},{v!r},{c}\n"
+                                           for x, v, c in zip(a.tolist(), b.tolist(), labels)))
+    out = tmp_path / "report.json"
+    # outside pytest a numpy RuntimeWarning prints to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("evaluate", "--features", path, "--algorithm", "nb", "--cv-k", 3,
+                   "--nb-var-floor", "1e-320", "--out", out) == 0
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(out.read_text())["model"] == "nb"
 
 
 class TestPlotdataCommand:
