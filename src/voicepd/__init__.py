@@ -3,7 +3,7 @@
 
 from .audio_io import AudioSignal, ManifestEntry, frame_signal, load_manifest, load_wav, save_wav
 from .data import CLASS_NAMES, LabeledDataset, Standardizer, load_feature_csv, save_feature_csv
-from .features import FEATURE_NAMES, FeatureConfig, extract_all
+from .features import FEATURE_NAMES, extract_all
 from .pitch import PitchConfig, PitchEstimate, PitchTrack, analyze_pitch, segment_cycles, track_pitch
 from .selection import FeatureScore, chi2_scores, select_top_k
 from .classifiers import ALGORITHMS, TrainedModel, train

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AudioDecodeError, ManifestError
+from .errors import AudioDecodeError, ConfigError, ManifestError
 
 log = logging.getLogger(__name__)
 
@@ -166,12 +166,22 @@ def load_manifest(path: str) -> list[ManifestEntry]:
 
 
 def frame_geometry(sample_rate: int, frame_ms: float, hop_ms: float) -> tuple[int, int]:
-    """Frame length and hop in samples, each at least 1."""
+    """Frame length and hop in samples, each at least 1.
+
+    Raises ConfigError for a frame longer than any array dimension and for
+    a hop that overflows float64.
+    """
     if frame_ms <= 0 or hop_ms <= 0:
         raise ValueError("frame_ms and hop_ms must be positive")
-    length = max(int(round(frame_ms * sample_rate / 1000.0)), 1)
-    hop = max(int(round(hop_ms * sample_rate / 1000.0)), 1)
-    return length, hop
+    length = frame_ms * sample_rate / 1000.0
+    hop = hop_ms * sample_rate / 1000.0
+    if not length <= np.iinfo(np.intp).max:  # inf included
+        raise ConfigError(f"frame_ms {frame_ms} gives {length:g} samples at {sample_rate} Hz, "
+                          "more than an array can hold")
+    if not np.isfinite(hop):
+        raise ConfigError(f"hop_ms {hop_ms} gives {hop:g} samples at {sample_rate} Hz, "
+                          "beyond float64")
+    return max(int(round(length)), 1), max(int(round(hop)), 1)
 
 
 def frame_signal(samples: np.ndarray, sample_rate: int,

@@ -22,7 +22,6 @@ class KNearestNeighbors:
         self.k = k
         self.X = None
         self.y = None
-        self.classes_ = None
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         if len(X) == 0:
@@ -33,24 +32,16 @@ class KNearestNeighbors:
             self.k = len(X)
         self.X = np.array(X)
         self.y = np.array(y)
-        self.classes_ = np.unique(y)
         return self
 
-    def _votes(self, X: np.ndarray):
-        """One distance matrix for the whole query: distances, each query's k
-        nearest rows in stable-argsort order, and the per-class vote counts."""
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        # one distance matrix for the whole query; each query's k nearest rows
+        # in stable-argsort order vote
         diff = self.X[None, :, :] - np.asarray(X)[:, None, :]
         dists = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
         order = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
         labels = self.y[order]
         counts = np.stack([np.count_nonzero(labels == c, axis=1) for c in range(3)], axis=1)
-        return dists, order, counts
-
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return self._votes(X)[2] / self.k
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        dists, order, counts = self._votes(X)
         out = np.argmax(counts, axis=1)
         tied = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) > 1
         for i in np.flatnonzero(tied):
@@ -139,16 +130,10 @@ class DecisionTree:
             node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
         return node
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((len(X), 3))
-        for i, x in enumerate(np.asarray(X)):
-            counts = np.array(self._leaf(x)["counts"], dtype=np.float64)
-            scores[i] = counts / counts.sum()
-        return scores
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        scores = self.predict_scores(X)
-        return np.argmax(scores, axis=1)  # argmax takes the lower label on ties
+        # the majority class of each row's leaf; argmax takes the lower label on ties
+        return np.array([np.argmax(self._leaf(x)["counts"]) for x in np.asarray(X)],
+                        dtype=np.int64)
 
 
 # --- Gaussian naive Bayes --------------------------------------------------
@@ -299,15 +284,13 @@ class LinearSVM:
             models[mi].b[ci] = bias[k]
         return models
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        raw = np.asarray(X) @ self.W.T + self.b
-        scores = np.full((len(X), 3), -np.inf)
-        for ci, c in enumerate(self.classes_):
-            scores[:, c] = raw[:, ci]
-        return scores
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_scores(X), axis=1)
+        # a class absent from training keeps -inf and is never predicted
+        scores = np.full((len(X), 3), -np.inf)
+        scores[:, self.classes_] = np.asarray(X) @ self.W.T + self.b
+        return np.argmax(scores, axis=1)
+
+
 # --- 3-layer neural network ------------------------------------------------
 
 def _forward(X, W1, b1, W2, b2):
@@ -487,12 +470,9 @@ class NeuralNetwork:
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
         return models
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        _, _, probs = _forward(np.asarray(X), self.W1, self.b1, self.W2, self.b2)
-        return probs
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_scores(X), axis=1)
+        _, _, probs = _forward(np.asarray(X), self.W1, self.b1, self.W2, self.b2)
+        return np.argmax(probs, axis=1)
 
 
 # algorithm -> (model class, RunConfig field -> constructor argument, whether

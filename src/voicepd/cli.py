@@ -20,9 +20,9 @@ from . import audio_io, evaluation
 from .classifiers import ALGORITHMS, REGISTRY
 from .data import LabeledDataset, load_feature_csv, open_output, save_feature_csv
 from .errors import ConfigError, DataError, VoicePDError
-from .features import FEATURE_NAMES, FeatureConfig, extract_all
+from .features import DEFAULT_SURE_THRESHOLD, FEATURE_NAMES, extract_all
 from .pitch import PitchConfig, analyze_pitch
-from .selection import chi2_scores
+from .selection import DEFAULT_BINS, chi2_scores
 from .synth import SynthSpec, gen_signal
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ _KIND_ALIASES = {"pulse": "pulse_train", "noise": "white_noise"}
 # and the float fields that must be > 0; None passes both bounds
 _FIELD_TYPES = {"int": (int,), "float": (int, float),
                 "int | None": (int, type(None)), "float | None": (int, float, type(None))}
-_MINIMUMS = {"seed": 0, "bins": 2, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1,
+_MINIMUMS = {"seed": 0, "bins": 2, "top_k": 1, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1,
              "tree_min_leaf": 1, "svm_epochs": 1, "nn_hidden": 1, "nn_epochs": 1, "nn_batch": 1}
 _POSITIVE = ("frame_ms", "hop_ms", "f0_min", "sure_threshold", "svm_lambda", "nn_lr",
              "nb_var_floor")
@@ -55,11 +55,11 @@ class RunConfig:
     f0_min: float = PitchConfig.f0_min
     f0_max: float = PitchConfig.f0_max
     voicing_threshold: float = PitchConfig.voicing_threshold
-    sure_threshold: float = FeatureConfig.sure_threshold
-    bins: int = 10
+    sure_threshold: float = DEFAULT_SURE_THRESHOLD
+    bins: int = DEFAULT_BINS
     top_k: int | None = None
-    test_fraction: float = 0.15
-    cv_k: int = 10
+    test_fraction: float = evaluation.DEFAULT_TEST_FRACTION
+    cv_k: int = evaluation.DEFAULT_CV_K
     knn_k: int | None = None
     tree_max_depth: int | None = None
     tree_min_leaf: int | None = None
@@ -115,15 +115,9 @@ class RunConfig:
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"config test_fraction must be in (0, 1), got {self.test_fraction}")
 
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            pitch=PitchConfig(
-                frame_ms=self.frame_ms, hop_ms=self.hop_ms,
-                f0_min=self.f0_min, f0_max=self.f0_max,
-                voicing_threshold=self.voicing_threshold,
-            ),
-            sure_threshold=self.sure_threshold,
-        )
+    def pitch_config(self) -> PitchConfig:
+        return PitchConfig(frame_ms=self.frame_ms, hop_ms=self.hop_ms, f0_min=self.f0_min,
+                           f0_max=self.f0_max, voicing_threshold=self.voicing_threshold)
 
     def hyperparams(self, algorithm: str) -> dict:
         """Constructor arguments of `algorithm`'s model from the fields that are set."""
@@ -165,7 +159,7 @@ _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
 
 def cmd_extract(args) -> int:
     cfg = _merge_config(args, _EXTRACT_FIELDS)
-    feature_cfg = cfg.feature_config()
+    pitch = cfg.pitch_config()
     entries = audio_io.load_manifest(args.manifest)
     sidecar = args.out + ".rejects.csv"
     # create both outputs before the first recording is decoded, so an --out
@@ -176,8 +170,8 @@ def cmd_extract(args) -> int:
     for entry in entries:
         try:
             signal = audio_io.load_wav(entry.path)
-            track = analyze_pitch(signal, feature_cfg.pitch)
-            row = extract_all(signal, track, feature_cfg)
+            track = analyze_pitch(signal, pitch)
+            row = extract_all(signal, track, pitch, cfg.sure_threshold)
         except VoicePDError as exc:
             rejects.append((entry.path, str(exc)))
             continue

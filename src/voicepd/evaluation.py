@@ -11,11 +11,14 @@ import numpy as np
 from .classifiers import TrainedModel, train_many
 from .data import CLASS_NAMES, LabeledDataset
 from .errors import DataError
-from .selection import chi2_scores, select_top_k
+from .selection import DEFAULT_BINS, chi2_scores, select_top_k
 
 log = logging.getLogger(__name__)
 
 N_CLASSES = 3
+# the holdout share of the rows, and the folds of the CV on the rest
+DEFAULT_TEST_FRACTION = 0.15
+DEFAULT_CV_K = 10
 
 
 @dataclass
@@ -229,7 +232,7 @@ def _cv_result(algorithm: str, fold_cms: list[ConfusionMatrix]) -> CVResult:
 
 
 def cross_validate(algorithm: str, dataset: LabeledDataset, k: int, seed: int,
-                   hyperparams: dict | None = None, bins: int = 10,
+                   hyperparams: dict | None = None, bins: int = DEFAULT_BINS,
                    top_k: int | None = None) -> CVResult:
     """Stratified k-fold CV; chi2 selection and standardization are refitted
     inside each fold on its training rows only."""
@@ -238,8 +241,8 @@ def cross_validate(algorithm: str, dataset: LabeledDataset, k: int, seed: int,
 
 
 def run_experiment(dataset: LabeledDataset, algorithm: str, seed: int,
-                   test_fraction: float = 0.15, cv_k: int = 10,
-                   hyperparams: dict | None = None, bins: int = 10,
+                   test_fraction: float = DEFAULT_TEST_FRACTION, cv_k: int = DEFAULT_CV_K,
+                   hyperparams: dict | None = None, bins: int = DEFAULT_BINS,
                    top_k: int | None = None) -> dict:
     """Holdout split, CV on the training portion, holdout evaluation of a
     final model trained on all training rows.  Returns the JSON-ready report.

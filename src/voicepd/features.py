@@ -10,7 +10,6 @@ a Welch (1967) power spectral density with a fixed geometry: Hann window,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,26 +45,18 @@ FEATURE_NAMES = (
 _NPERSEG = 1024
 _OVERLAP = 0.5
 
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    pitch: PitchConfig = field(default_factory=PitchConfig)
-    sure_threshold: float = 0.2
+# the threshold t of the SURE entropy
+DEFAULT_SURE_THRESHOLD = 0.2
 
 
 # --- pitch-derived ---------------------------------------------------------
 
-def jitter_seconds(track: PitchTrack) -> float:
-    """Mean absolute difference of consecutive cycle periods, in seconds."""
+def jitter(track: PitchTrack) -> float:
+    """Relative jitter: mean |P_i - P_{i+1}| over mean period, as a percentage."""
     if len(track) < 2:
         raise UndefinedFeatureError(f"jitter needs >= 2 cycles, got {len(track)}")
     p = track.cycle_periods
-    return float(np.mean(np.abs(np.diff(p))))
-
-
-def jitter(track: PitchTrack) -> float:
-    """Relative jitter: mean |P_i - P_{i+1}| over mean period, as a percentage."""
-    return 100.0 * jitter_seconds(track) / float(np.mean(track.cycle_periods))
+    return 100.0 * float(np.mean(np.abs(np.diff(p)))) / float(np.mean(p))
 
 
 def shimmer(track: PitchTrack) -> float:
@@ -94,15 +85,15 @@ def zcr(signal: AudioSignal) -> float:
     return float(np.mean(np.abs(sgn[1:] - sgn[:-1]) / 2.0))
 
 
-def mean_energy(signal: AudioSignal, config: FeatureConfig | None = None) -> float:
-    """Mean over analysis frames of per-frame average power (1/L) sum x^2.
+def mean_energy(signal: AudioSignal, pitch: PitchConfig = PitchConfig()) -> float:
+    """Mean over analysis frames of per-frame average power (1/L) sum x^2,
+    with the pitch tracker's frame length and hop.
 
     Falls back to a single whole-signal frame when the signal is shorter
     than one frame.
     """
-    config = config or FeatureConfig()
     power = signal.samples * signal.samples
-    frames = frame_signal(power, signal.sample_rate, config.pitch.frame_ms, config.pitch.hop_ms)
+    frames = frame_signal(power, signal.sample_rate, pitch.frame_ms, pitch.hop_ms)
     if len(frames) == 0:
         return float(np.mean(power))
     return float(np.mean(np.mean(frames, axis=1)))
@@ -151,7 +142,7 @@ def log_entropy(signal: AudioSignal, eps: float = 1e-12) -> float:
 
 
 def sure_entropy(signal: AudioSignal,
-                 threshold: float = FeatureConfig.sure_threshold) -> float:
+                 threshold: float = DEFAULT_SURE_THRESHOLD) -> float:
     """Threshold-SURE entropy: N - #{|x| <= t} + sum min(x^2, t^2)."""
     if threshold <= 0.0:
         raise ValueError("sure_entropy threshold must be positive")
@@ -254,14 +245,13 @@ def _power_bandwidth(freqs: np.ndarray, psd: np.ndarray) -> float:
 
 # --- the full row ----------------------------------------------------------
 
-def extract_all(signal: AudioSignal, track: PitchTrack,
-                config: FeatureConfig | None = None) -> np.ndarray:
+def extract_all(signal: AudioSignal, track: PitchTrack, pitch: PitchConfig = PitchConfig(),
+                sure_threshold: float = DEFAULT_SURE_THRESHOLD) -> np.ndarray:
     """All 19 features as a float64 array in `FEATURE_NAMES` order.
 
     Raises UndefinedFeatureError rather than imputing when jitter/shimmer or
     the spectrum are undefined, or when a value is not finite.
     """
-    config = config or FeatureConfig()
     values = descriptive_stats(signal)
     spectrum = power_spectrum(signal)
     values.update(
@@ -270,11 +260,11 @@ def extract_all(signal: AudioSignal, track: PitchTrack,
         log_entropy=log_entropy(signal),
         power_bandwidth_hz=_power_bandwidth(*spectrum),
         jitter_pct=jitter(track),
-        mean_energy=mean_energy(signal, config),
+        mean_energy=mean_energy(signal, pitch),
         rms=rms(signal),
         shannon_entropy=_shannon_entropy(*spectrum),
         zcr=zcr(signal),
-        sure_entropy=sure_entropy(signal, config.sure_threshold),
+        sure_entropy=sure_entropy(signal, sure_threshold),
     )
     row = np.array([values[name] for name in FEATURE_NAMES], dtype=np.float64)
     if not np.all(np.isfinite(row)):

@@ -98,10 +98,11 @@ def _estimate_frames(frames: np.ndarray, sample_rate: int,
     if config.f0_min >= config.f0_max:
         raise ConfigError(f"f0_min {config.f0_min} must be < f0_max {config.f0_max}")
     n_frames, frame_len = frames.shape
+    longest = np.floor(sample_rate / config.f0_min)  # inf when the lag overflows float64
+    if longest >= frame_len:
+        raise ConfigError(f"lag range up to {longest:.0f} exceeds frame length {frame_len}")
     lag_min = max(int(np.ceil(sample_rate / config.f0_max)), 1)
-    lag_max = int(np.floor(sample_rate / config.f0_min))
-    if lag_max >= frame_len:
-        raise ConfigError(f"lag range up to {lag_max} exceeds frame length {frame_len}")
+    lag_max = int(longest)
     if lag_min > lag_max:  # no whole lag inside the f0 range
         return [PitchEstimate(None, 0.0)] * n_frames
     nfft = _next_fast_len(frame_len + lag_max + 1)
@@ -134,24 +135,26 @@ def track_pitch(signal: AudioSignal, config: PitchConfig) -> list[PitchEstimate]
     return _estimate_frames(frames, signal.sample_rate, config)
 
 
-def _voiced_runs(periods: list[float | None]) -> list[tuple[int, int]]:
-    """(start, stop) frame ranges of the maximal runs of voiced frames."""
-    voiced = np.array([p is not None for p in periods], dtype=np.int8)
+def _voiced_runs(periods: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) frame ranges of the maximal runs of voiced (non-NaN) frames."""
+    voiced = (~np.isnan(periods)).astype(np.int8)
     edges = np.flatnonzero(np.diff(voiced, prepend=0, append=0)).tolist()
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _median_smooth_runs(periods: list[float | None]) -> list[float | None]:
-    """Width-3 median filter applied within each voiced run (edges replicated)."""
-    out: list[float | None] = list(periods)
-    for i, j in _voiced_runs(periods):
-        if j - i >= 3:
-            b = np.array(periods[i:j])
-            a = np.concatenate((b[:1], b[:-1]))
-            c = np.concatenate((b[1:], b[-1:]))
-            # the middle one of (a, b, c): the value np.median would pick
-            out[i:j] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)).tolist()
-    return out
+def _median_smooth_runs(periods: np.ndarray) -> np.ndarray:
+    """Width-3 median filter within each voiced run, run edges replicated.
+
+    A frame's neighbour outside its run (NaN or past the array's end) is
+    replaced by the frame itself, so a run of one or two frames keeps its
+    values, and NaN stays NaN.
+    """
+    a = np.concatenate((periods[:1], periods[:-1]))
+    c = np.concatenate((periods[1:], periods[-1:]))
+    a = np.where(np.isnan(a), periods, a)
+    c = np.where(np.isnan(c), periods, c)
+    # the middle one of (a, periods, c): the value np.median would pick
+    return np.maximum(np.minimum(a, periods), np.minimum(np.maximum(a, periods), c))
 
 
 def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
@@ -167,7 +170,8 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
     frame_len, hop = frame_geometry(fs, config.frame_ms, config.hop_ms)
     n = len(x)
 
-    periods = _median_smooth_runs([e.period_s for e in estimates])
+    # one period per frame, NaN where unvoiced
+    periods = _median_smooth_runs(np.array([e.period_s for e in estimates], dtype=np.float64))
 
     all_periods: list[np.ndarray] = []
     all_peaks: list[np.ndarray] = []

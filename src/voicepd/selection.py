@@ -15,6 +15,9 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import DataError
 
+# equal-width bins per feature
+DEFAULT_BINS = 10
+
 
 @dataclass(frozen=True)
 class FeatureScore:
@@ -47,7 +50,7 @@ def _bin_column(values: np.ndarray, bins: int, name: str) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
-def chi2_scores(dataset: LabeledDataset, bins: int = 10) -> list[FeatureScore]:
+def chi2_scores(dataset: LabeledDataset, bins: int = DEFAULT_BINS) -> list[FeatureScore]:
     """Score and rank every feature, descending chi2, ties by lower index."""
     if len(dataset) == 0:
         raise DataError("cannot score an empty dataset")

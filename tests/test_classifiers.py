@@ -67,9 +67,7 @@ class TestPredict:
         model = train("knn", blobs, {"k": 1}, seed=0)
         row = blobs.features[5:6]
         label = int(model.predict(row)[0])
-        scores = model.model.predict_scores(model.standardizer.transform(row))[0]
         assert label == blobs.labels[5]
-        assert scores[label] == 1.0
 
     def test_knn_tie_deterministic(self):
         # one class-0 point slightly nearer, one class-1 point slightly farther

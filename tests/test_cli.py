@@ -365,6 +365,7 @@ class TestRunConfig:
          "test_fraction 0.01 of 30 rows leaves an empty holdout set"),
         ({}, ["--test-fraction", 0.99, "--cv-k", 3],
          "test_fraction 0.99 of 30 rows leaves an empty training set"),
+        ({}, ["--top-k", 0], "config top_k must be >= 1, got 0"),
     ])
     def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
         from voicepd.data import save_feature_csv
@@ -402,6 +403,28 @@ class TestRunConfig:
         assert run("extract", "--manifest", manifest, "--out", out, *flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,reason", [
+        (["--frame-ms", "1e308"], "frame_ms 1e+308 gives inf samples at 16000 Hz"),
+        (["--hop-ms", "1e308"], "hop_ms 1e+308 gives inf samples at 16000 Hz"),
+        (["--frame-ms", "1e300"], "more than an array can hold"),
+        (["--f0-min", "1e-320"], "lag range up to inf exceeds frame length 640"),
+    ])
+    def test_unusable_extract_flags_reject_each_recording(self, tmp_path, capsys, flags, reason):
+        # valid config values that give no usable frame or lag: each recording
+        # is rejected with the reason, not an overflow
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
+                   "--sample-rate", 16000, "--name", "a") == 0
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert run("extract", "--manifest", manifest, "--out", out, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no recording was accepted (1 rejected")
+        assert err.count("\n") == 1
+        sidecar = (tmp_path / "f.csv.rejects.csv").read_text().splitlines()
+        assert len(sidecar) == 2 and reason in sidecar[1]
 
 
 _NONFINITE = {"features_nan_evaluate": ("nan", "evaluate"),

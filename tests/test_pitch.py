@@ -112,5 +112,5 @@ class TestTrackProperties:
 
     def test_median_filter_suppresses_isolated_octave_error(self):
         from voicepd.pitch import _median_smooth_runs
-        run = [0.01, 0.01, 0.02, 0.01, 0.01]
-        assert _median_smooth_runs(run) == [0.01] * 5
+        run = np.array([0.01, 0.01, 0.02, 0.01, 0.01])
+        assert _median_smooth_runs(run).tolist() == [0.01] * 5

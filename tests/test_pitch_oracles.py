@@ -327,4 +327,6 @@ def test_median_smoothing_matches_oracle():
         values = rng.choice([0.004, 0.005, 0.01, 0.02], n) + rng.uniform(0, 1e-3, n)
         voiced = rng.random(n) < 0.8
         periods = [float(v) if keep else None for v, keep in zip(values, voiced)]
-        assert _median_smooth_runs(periods) == oracle_median_smooth_runs(periods)
+        # the array form marks an unvoiced frame with NaN
+        np.testing.assert_array_equal(_median_smooth_runs(np.array(periods, dtype=np.float64)),
+                                      np.array(oracle_median_smooth_runs(periods), dtype=np.float64))
