@@ -42,7 +42,7 @@ class AudioSignal:
             raise AudioDecodeError(f"non-finite samples: {self.source_path!r}")
         if self.sample_rate <= 0:
             raise AudioDecodeError(f"sample_rate must be positive, got {self.sample_rate}")
-        if np.max(np.abs(self.samples)) > 1.0 + 1e-9:
+        if _peak(self.samples) > 1.0 + 1e-9:
             raise AudioDecodeError(f"samples exceed [-1, 1]: {self.source_path!r}")
 
     @property
@@ -56,9 +56,14 @@ class ManifestEntry:
     label: int
 
 
+def _peak(samples: np.ndarray) -> float:
+    """max |sample| without an |x| copy; equal to np.max(np.abs(x)) for finite x."""
+    return max(samples.max(), -samples.min())
+
+
 def peak_normalize(samples: np.ndarray) -> np.ndarray:
     """Scale so max |sample| = 1; identity for all-zero input. Idempotent."""
-    peak = np.max(np.abs(samples))
+    peak = _peak(samples)
     if peak == 0.0:
         return samples
     return samples / peak
@@ -68,6 +73,7 @@ def load_wav(path: str) -> AudioSignal:
     """Decode a PCM 16/24-bit mono or stereo WAV into an AudioSignal.
 
     Stereo is downmixed by per-sample channel average before normalization.
+    Both scalings divide in place rather than copying the samples.
     """
     if not os.path.isfile(path):
         raise AudioDecodeError(f"file not found: {path!r}")
@@ -99,20 +105,21 @@ def load_wav(path: str) -> AudioSignal:
         raise AudioDecodeError(f"truncated data chunk in {path!r}")
 
     if sampwidth == 2:
-        ints = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+        samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     else:
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints).astype(np.float64)
-
-    samples = ints / _FULL_SCALE[sampwidth]
+        # each 3-byte sample goes into the top of a little-endian int32; the
+        # arithmetic shift back down sign-extends it
+        wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        ints = wide.view("<i4").reshape(-1)
+        ints >>= 8
+        samples = ints.astype(np.float64)
+    samples /= _FULL_SCALE[sampwidth]
     if n_channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    samples = peak_normalize(samples)
+    peak = _peak(samples)
+    if peak != 0.0:
+        samples /= peak
     return AudioSignal(samples=samples, sample_rate=sample_rate, source_path=path)
 
 

@@ -38,6 +38,8 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float),
                 "int | None": (int, type(None)), "float | None": (int, float, type(None))}
 _MINIMUMS = {"seed": 0, "bins": 2, "top_k": 1, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1,
              "tree_min_leaf": 1, "svm_epochs": 1, "nn_hidden": 1, "nn_epochs": 1, "nn_batch": 1}
+# chi2_scores allocates a (bins, classes) table and one bincount per feature
+_MAX_BINS = 1 << 16
 _POSITIVE = ("frame_ms", "hop_ms", "f0_min", "sure_threshold", "svm_lambda", "nn_lr",
              "nb_var_floor")
 
@@ -103,6 +105,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"config {name} must be >= {low}, got {value}")
+        if self.bins > _MAX_BINS:
+            raise ConfigError(f"config bins must be <= {_MAX_BINS}, got {self.bins}")
         for name in _POSITIVE:
             value = getattr(self, name)
             if value is not None and value <= 0:

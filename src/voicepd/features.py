@@ -14,9 +14,9 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioSignal, frame_signal
+from .audio_io import AudioSignal, frame_geometry, frame_signal
 from .errors import UndefinedFeatureError
-from .pitch import PitchConfig, PitchTrack
+from .pitch import _BLOCK_FRAMES, PitchConfig, PitchTrack
 
 FEATURE_NAMES = (
     "maximum",
@@ -81,8 +81,9 @@ def zcr(signal: AudioSignal) -> float:
     x = signal.samples
     if len(x) < 2:
         raise UndefinedFeatureError("zcr needs at least 2 samples")
-    sgn = np.where(x >= 0.0, 1.0, -1.0)
-    return float(np.mean(np.abs(sgn[1:] - sgn[:-1]) / 2.0))
+    nonneg = x >= 0.0
+    # an exact integer count, so the division equals the mean of 0.0/1.0 flags
+    return np.count_nonzero(nonneg[1:] != nonneg[:-1]) / (len(x) - 1)
 
 
 def mean_energy(signal: AudioSignal, pitch: PitchConfig = PitchConfig()) -> float:
@@ -104,29 +105,38 @@ def descriptive_stats(signal: AudioSignal) -> dict[str, float]:
 
     Variance uses the (n-1) divisor; skewness and kurtosis use population
     central moments (normal kurtosis ~ 3); quartiles by linear interpolation.
+    The moments share two signal-sized buffers and the order statistics one
+    copy of the samples, partitioned in place.
     """
     x = signal.samples
-    if len(x) < 2:
+    n = len(x)
+    if n < 2:
         raise UndefinedFeatureError("descriptive stats need at least 2 samples")
     mean = float(np.mean(x))
     centered = x - mean
     c2 = centered * centered
-    m2 = float(np.mean(c2))
-    m3 = float(np.mean(c2 * centered))
-    m4 = float(np.mean(c2 * c2))
+    # the one sum behind np.mean(c2) and np.var(x, ddof=1)
+    s2 = np.add.reduce(c2)
+    m2 = float(s2 / n)
+    variance = float(s2 / (n - 1))
+    m3 = float(np.mean(np.multiply(c2, centered, out=centered)))
+    m4 = float(np.mean(np.multiply(c2, c2, out=c2)))
+    del centered, c2
     if m2 > 0.0:
         skewness = m3 / m2 ** 1.5
         kurtosis = m4 / m2 ** 2
     else:
         skewness = 0.0
         kurtosis = 0.0
-    variance = float(np.var(x, ddof=1))
-    q1, q3 = np.quantile(x, [0.25, 0.75])
+    # an order statistic does not depend on how the buffer was ordered before
+    buf = x.copy()
+    median = float(np.median(buf, overwrite_input=True))
+    q1, q3 = np.quantile(buf, [0.25, 0.75], overwrite_input=True)
     return {
         "maximum": float(np.max(x)),
         "minimum": float(np.min(x)),
         "amplitude_mean": mean,
-        "median": float(np.median(x)),
+        "median": median,
         "variance": variance,
         "std_dev": math.sqrt(variance),
         "skewness": skewness,
@@ -138,7 +148,9 @@ def descriptive_stats(signal: AudioSignal) -> dict[str, float]:
 def log_entropy(signal: AudioSignal, eps: float = 1e-12) -> float:
     """Log-energy entropy: sum of log(x_i^2 + eps) over samples."""
     x = signal.samples
-    return float(np.sum(np.log(x * x + eps)))
+    buf = np.multiply(x, x)
+    buf += eps
+    return float(np.sum(np.log(buf, out=buf)))
 
 
 def sure_entropy(signal: AudioSignal,
@@ -148,8 +160,9 @@ def sure_entropy(signal: AudioSignal,
         raise ValueError("sure_entropy threshold must be positive")
     x = signal.samples
     n = len(x)
-    below = int(np.count_nonzero(np.abs(x) <= threshold))
-    return float(n - below + np.sum(np.minimum(x * x, threshold * threshold)))
+    below = int(np.count_nonzero((x <= threshold) & (x >= -threshold)))
+    buf = np.multiply(x, x)
+    return float(n - below + np.sum(np.minimum(buf, threshold * threshold, out=buf)))
 
 
 # --- spectral --------------------------------------------------------------
@@ -166,12 +179,14 @@ def _hann(n: int) -> np.ndarray:
 def power_spectrum(signal: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch PSD (frequencies in Hz, density scaling, no detrend).
 
-    Full segments only (no boundary extension or padding), all windowed and
-    transformed in one 2-D rFFT call.  The arithmetic follows
-    `scipy.signal.welch` step by step, so the two agree to the last bit or
-    within a few ulps: the window carries the density scale
-    1 / sqrt(fs * sum w^2) with the sum taken in order, and the mean over
-    segments runs along a contiguous axis (numpy's pairwise summation).
+    Full segments only (no boundary extension or padding).  The segments
+    are windowed and transformed in blocks of `_BLOCK_FRAMES` rows, so the
+    only signal-sized array is the (bins, segments) power table.  The
+    arithmetic follows `scipy.signal.welch` step by step, so the two agree
+    to the last bit or within a few ulps: the window carries the density
+    scale 1 / sqrt(fs * sum w^2) with the sum taken in order, and the mean
+    over segments runs along the table's contiguous axis (numpy's pairwise
+    summation).
     """
     x = signal.samples
     fs = signal.sample_rate
@@ -179,9 +194,14 @@ def power_spectrum(signal: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
     step = nperseg - int(nperseg * _OVERLAP)
     win = _hann(nperseg)
     win = win * (1.0 / np.sqrt(np.cumsum(win * win)[-1] / (1.0 / fs)))
-    spec = np.fft.rfft(sliding_window_view(x, nperseg)[::step] * win, axis=1)
-    power = spec.real ** 2 + spec.imag ** 2
-    psd = np.ascontiguousarray(power.T).mean(axis=1)
+    segments = sliding_window_view(x, nperseg)[::step]
+    power = np.empty((nperseg // 2 + 1, len(segments)))
+    for start in range(0, len(segments), _BLOCK_FRAMES):
+        spec = np.fft.rfft(segments[start:start + _BLOCK_FRAMES] * win, axis=1)
+        block = power[:, start:start + _BLOCK_FRAMES].T
+        np.square(spec.real, out=block)
+        block += np.square(spec.imag)
+    psd = power.mean(axis=1)
     psd[1:(nperseg + 1) // 2] *= 2.0  # fold in the negative frequencies; not DC or Nyquist
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
@@ -249,9 +269,15 @@ def extract_all(signal: AudioSignal, track: PitchTrack, pitch: PitchConfig = Pit
                 sure_threshold: float = DEFAULT_SURE_THRESHOLD) -> np.ndarray:
     """All 19 features as a float64 array in `FEATURE_NAMES` order.
 
-    Raises UndefinedFeatureError rather than imputing when jitter/shimmer or
-    the spectrum are undefined, or when a value is not finite.
+    Raises UndefinedFeatureError rather than imputing when the recording is
+    shorter than one pitch analysis frame, when jitter/shimmer or the
+    spectrum are undefined, or when a value is not finite.
     """
+    n = len(signal.samples)
+    frame_len, _ = frame_geometry(signal.sample_rate, pitch.frame_ms, pitch.hop_ms)
+    if n < frame_len:
+        raise UndefinedFeatureError(
+            f"recording of {n} samples is shorter than one {frame_len}-sample analysis frame")
     values = descriptive_stats(signal)
     spectrum = power_spectrum(signal)
     values.update(

@@ -53,8 +53,9 @@ class PitchTrack:
         return len(self.cycle_periods)
 
 
-# frames per rFFT batch: enough to amortize the per-call cost, few enough
-# that the (block, nfft) spectra stay near 1 MB at 48 kHz
+# rows per rFFT batch, for the ACF frames here and the Welch segments in
+# `features`: enough to amortize the per-call cost, few enough that a
+# block's spectra stay near 1 MB at 48 kHz, far below a recording's size
 _BLOCK_FRAMES = 32
 
 
@@ -195,7 +196,9 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
             anchors.append(anchor)
         first = anchors[0]
         bounds = np.array(anchors)
-        peaks = np.maximum.reduceat(np.abs(x[first:anchor]), bounds[:-1] - first)
+        # max |x| per cycle as max(max x, -min x): no |x| copy of the run
+        v, cuts = x[first:anchor], bounds[:-1] - first
+        peaks = np.maximum(np.maximum.reduceat(v, cuts), -np.minimum.reduceat(v, cuts))
         keep = peaks > 0.0
         all_periods.append(np.diff(bounds)[keep] / fs)
         all_peaks.append(peaks[keep])

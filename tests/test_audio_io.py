@@ -117,6 +117,77 @@ class TestLoadWav:
         assert np.max(np.abs(sig.samples - sig2.samples)) <= 1.0 / 32768 + 1e-12
 
 
+def previous_decode(raw, sampwidth, n_channels):
+    """load_wav's scaling before it divided in place: the bit-equality oracle."""
+    if sampwidth == 2:
+        ints = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    else:
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        ints = (
+            b[:, 0].astype(np.int32)
+            | (b[:, 1].astype(np.int32) << 8)
+            | (b[:, 2].astype(np.int32) << 16)
+        )
+        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints).astype(np.float64)
+    samples = ints / {2: 32768.0, 3: 8388608.0}[sampwidth]
+    if n_channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    peak = np.max(np.abs(samples))
+    return samples if peak == 0.0 else samples / peak
+
+
+def _decode_cases():
+    rng = np.random.default_rng(1019)
+    lo16, hi16, lo24, hi24 = -(1 << 15), (1 << 15) - 1, -(1 << 23), (1 << 23) - 1
+    with_zeros = rng.integers(lo16, hi16, 1000)
+    with_zeros[::4] = 0
+    extremes24 = rng.integers(lo24, hi24 + 1, 1001)
+    extremes24[[0, 1, 2, 3]] = [lo24, hi24, -1, 0]
+    return {
+        # name: (ints, channels, bytes per sample)
+        "even": (rng.integers(lo16, hi16 + 1, 1000), 1, 2),
+        "odd": (rng.integers(lo16, hi16 + 1, 1001), 1, 2),
+        "exact_zeros": (with_zeros, 1, 2),
+        "full_scale": (np.array([lo16, hi16, 0, 1, -1, 12345]), 1, 2),
+        "all_negative": (rng.integers(lo16, 0, 999), 1, 2),
+        "constant": (np.full(500, 1234), 1, 2),
+        "silence": (np.zeros(300, dtype=int), 1, 2),
+        "stereo": (rng.integers(lo16, hi16 + 1, 2 * 501), 2, 2),
+        "stereo_negative_peak": (np.array([-30000, -32768, 5, 7, 100, -100]), 2, 2),
+        "24_bit": (extremes24, 1, 3),
+        "24_bit_all_negative": (rng.integers(lo24, 0, 1000), 1, 3),
+        "24_bit_stereo": (rng.integers(lo24, hi24 + 1, 2 * 400), 2, 3),
+    }
+
+
+class TestDecodingOracle:
+    @pytest.mark.parametrize("name", sorted(_decode_cases()))
+    def test_bit_equal_to_previous_decoding(self, name, tmp_path):
+        ints, channels, sampwidth = _decode_cases()[name]
+        path = tmp_path / "a.wav"
+        write_wav(path, ints, channels=channels, sampwidth=sampwidth)
+        with wave.open(str(path), "rb") as wf:
+            raw = wf.readframes(wf.getnframes())
+        got = load_wav(str(path)).samples
+        want = previous_decode(raw, sampwidth, channels)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_decode_cases()))
+    def test_peak_normalize_bit_equal(self, name):
+        x = _decode_cases()[name][0] / 32768.0
+        peak = np.max(np.abs(x))
+        want = x if peak == 0.0 else x / peak
+        assert peak_normalize(x).tobytes() == want.tobytes()
+
+    def test_range_check_sees_negative_peaks(self):
+        AudioSignal(samples=np.array([-1.0, 0.5]), sample_rate=8000)
+        with pytest.raises(AudioDecodeError, match="exceed"):
+            AudioSignal(samples=np.array([-1.01, 0.5]), sample_rate=8000)
+        with pytest.raises(AudioDecodeError, match="exceed"):
+            AudioSignal(samples=np.array([-0.5, 1.01]), sample_rate=8000)
+
+
 class TestNormalization:
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=100))
     def test_idempotent(self, values):

@@ -151,6 +151,21 @@ class TestExtractCommand:
     def test_missing_manifest_exit_2(self, tmp_path):
         assert run("extract", "--manifest", tmp_path / "none.csv", "--out", tmp_path / "f.csv") == 2
 
+    def test_recording_shorter_than_a_frame_is_named(self, tmp_path):
+        # 30 ms at 16 kHz is 480 samples, less than one 40-ms frame: the reason
+        # is the short recording, not the first pitch feature that fails
+        for name, duration in (("short", 0.03), ("long", 0.5)):
+            assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration",
+                       duration, "--sample-rate", 16000, "--name", name) == 0
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"{tmp_path / 'short.wav'},0\n{tmp_path / 'long.wav'},1\n")
+        out = tmp_path / "f.csv"
+        assert run("extract", "--manifest", manifest, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 2
+        rejects = (tmp_path / "f.csv.rejects.csv").read_text().splitlines()
+        assert rejects[1:] == [f'{tmp_path / "short.wav"},"recording of 480 samples is shorter '
+                               f'than one 640-sample analysis frame"']
+
 
 class TestRankCommand:
     def test_label_copy_ranks_first(self, tmp_path):
@@ -170,6 +185,12 @@ class TestRankCommand:
         constant_row = next(l for l in lines if l.split(",")[1] == "constant")
         assert float(constant_row.split(",")[2]) == 0.0
         assert constant_row.split(",")[0] == "4"
+
+    def test_bins_ceiling_checked_before_the_table_is_read(self, tmp_path, capsys):
+        assert run("rank", "--features", tmp_path / "missing.csv", "--out",
+                   tmp_path / "ranked.csv", "--bins", 10 ** 15) == 2
+        assert capsys.readouterr().err == (
+            "error: config bins must be <= 65536, got 1000000000000000\n")
 
 
 class TestEvaluateCommand:
@@ -366,6 +387,7 @@ class TestRunConfig:
         ({}, ["--test-fraction", 0.99, "--cv-k", 3],
          "test_fraction 0.99 of 30 rows leaves an empty training set"),
         ({}, ["--top-k", 0], "config top_k must be >= 1, got 0"),
+        ({}, ["--bins", 10 ** 15], "config bins must be <= 65536, got 1000000000000000"),
     ])
     def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
         from voicepd.data import save_feature_csv
@@ -409,6 +431,8 @@ class TestRunConfig:
         (["--hop-ms", "1e308"], "hop_ms 1e+308 gives inf samples at 16000 Hz"),
         (["--frame-ms", "1e300"], "more than an array can hold"),
         (["--f0-min", "1e-320"], "lag range up to inf exceeds frame length 640"),
+        (["--frame-ms", "1e10"],
+         "recording of 8000 samples is shorter than one 160000000000-sample analysis frame"),
     ])
     def test_unusable_extract_flags_reject_each_recording(self, tmp_path, capsys, flags, reason):
         # valid config values that give no usable frame or lag: each recording

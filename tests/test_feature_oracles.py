@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from voicepd import features as F
 from voicepd.audio_io import AudioSignal, peak_normalize
-from voicepd.pitch import PitchTrack
+from voicepd.pitch import _BLOCK_FRAMES, PitchTrack
 
 N_SIGNALS = 100
 N_SAMPLES = 1000
@@ -232,3 +233,125 @@ def test_window_bit_equal_to_scipy():
     sp_signal = pytest.importorskip("scipy.signal")
     for n in range(1, 2049):
         np.testing.assert_array_equal(F._hann(n), sp_signal.get_window("hann", n))
+
+
+# --- the whole-signal expressions the bounded working set replaced ---------
+#
+# descriptive_stats, zcr, log_entropy, sure_entropy and power_spectrum now
+# reuse buffers and block the PSD's rFFT so that no step holds more than two
+# signal-sized temporaries.  The expressions they replaced are kept here, and
+# every value must match them bit for bit.
+
+def previous_descriptive_stats(x):
+    mean = float(np.mean(x))
+    centered = x - mean
+    c2 = centered * centered
+    m2 = float(np.mean(c2))
+    m3 = float(np.mean(c2 * centered))
+    m4 = float(np.mean(c2 * c2))
+    if m2 > 0.0:
+        skewness = m3 / m2 ** 1.5
+        kurtosis = m4 / m2 ** 2
+    else:
+        skewness = 0.0
+        kurtosis = 0.0
+    variance = float(np.var(x, ddof=1))
+    q1, q3 = np.quantile(x, [0.25, 0.75])
+    return {
+        "maximum": float(np.max(x)),
+        "minimum": float(np.min(x)),
+        "amplitude_mean": mean,
+        "median": float(np.median(x)),
+        "variance": variance,
+        "std_dev": math.sqrt(variance),
+        "skewness": skewness,
+        "kurtosis": kurtosis,
+        "iqr": float(q3 - q1),
+    }
+
+
+def previous_zcr(x):
+    sgn = np.where(x >= 0.0, 1.0, -1.0)
+    return float(np.mean(np.abs(sgn[1:] - sgn[:-1]) / 2.0))
+
+
+def previous_log_entropy(x, eps=1e-12):
+    return float(np.sum(np.log(x * x + eps)))
+
+
+def previous_sure_entropy(x, t=F.DEFAULT_SURE_THRESHOLD):
+    below = int(np.count_nonzero(np.abs(x) <= t))
+    return float(len(x) - below + np.sum(np.minimum(x * x, t * t)))
+
+
+def previous_power_spectrum(x, fs):
+    """The PSD as one 2-D rFFT over every segment at once."""
+    nperseg = min(1024, len(x))
+    step = nperseg - int(nperseg * 0.5)
+    win = F._hann(nperseg)
+    win = win * (1.0 / np.sqrt(np.cumsum(win * win)[-1] / (1.0 / fs)))
+    spec = np.fft.rfft(sliding_window_view(x, nperseg)[::step] * win, axis=1)
+    power = spec.real ** 2 + spec.imag ** 2
+    psd = np.ascontiguousarray(power.T).mean(axis=1)
+    psd[1:(nperseg + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _replaced_cases():
+    rng = np.random.default_rng(20251019)
+    with_zeros = rng.standard_normal(1000)
+    with_zeros[::3] = 0.0
+    peaks = rng.uniform(-0.9, 0.9, 1001)
+    peaks[[7, 500]] = [1.0, -1.0]
+    return {
+        "even": peak_normalize(rng.standard_normal(1000)),
+        "odd": peak_normalize(rng.standard_normal(1001)),
+        "exact_zeros": peak_normalize(with_zeros),
+        "plus_minus_one_peaks": peaks,
+        "all_negative": -peak_normalize(rng.uniform(0.05, 1.0, 999)),
+        "constant": np.full(1000, 0.5),
+        "silence": np.zeros(1000),
+        "two_samples": np.array([1.0, -0.25]),
+        "three_samples": np.array([0.0, -1.0, 0.5]),
+        # one PSD segment shorter than nperseg, exactly one, and many segments
+        # over several rFFT blocks with a ragged last block
+        "one_short_segment": peak_normalize(rng.standard_normal(777)),
+        "one_full_segment": peak_normalize(rng.standard_normal(1024)),
+        "many_blocks": peak_normalize(rng.standard_normal(44100)),
+        "pulse_train": peak_normalize(np.sin(np.arange(30001) * 0.05) ** 15),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_replaced_cases()))
+def test_replaced_expressions_bit_equal(name):
+    x = _replaced_cases()[name]
+    sig = AudioSignal(samples=x, sample_rate=FS)
+    got = F.descriptive_stats(sig)
+    want = previous_descriptive_stats(x)
+    assert list(got) == list(want)
+    for key in want:
+        assert _bits(got[key]) == _bits(want[key]), key
+    assert _bits(F.zcr(sig)) == _bits(previous_zcr(x))
+    assert _bits(F.log_entropy(sig)) == _bits(previous_log_entropy(x))
+    assert _bits(F.sure_entropy(sig)) == _bits(previous_sure_entropy(x))
+    for fs in (8000, 16000, 44100):
+        freqs, psd = F.power_spectrum(AudioSignal(samples=x, sample_rate=fs))
+        want_freqs, want_psd = previous_power_spectrum(x, fs)
+        assert _bits(freqs) == _bits(want_freqs)
+        assert _bits(psd) == _bits(want_psd)
+
+
+def test_replaced_cases_cover_the_psd_blocks():
+    segments = (44100 - 1024) // 512 + 1
+    assert segments > 2 * _BLOCK_FRAMES and segments % _BLOCK_FRAMES != 0
+
+
+def test_order_statistics_leave_the_samples_alone():
+    x = peak_normalize(np.random.default_rng(3).standard_normal(1001))
+    before = x.copy()
+    F.descriptive_stats(AudioSignal(samples=x, sample_rate=FS))
+    np.testing.assert_array_equal(x, before)

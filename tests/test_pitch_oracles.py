@@ -198,6 +198,9 @@ CASES = {
     "low_threshold": (lambda: gapped(16000), PitchConfig(voicing_threshold=0.0)),
     "short_hop": (lambda: pulse(16000, seed=17), PitchConfig(frame_ms=30.0, hop_ms=3.0)),
     "pulse_8k": (lambda: pulse(8000, f0=120.0, seed=18), PitchConfig()),
+    # cycle peaks from the negative half-waves: max |x| is -min x everywhere
+    "negated_pulse_16k": (lambda: AudioSignal(samples=-pulse(16000, seed=22).samples,
+                                              sample_rate=16000), PitchConfig()),
     "pulse_22k": (lambda: pulse(22050, f0=150.0, jitter=2.0, seed=19), PitchConfig()),
     # frame_len + lag_max + 1 is 900 = 2^2 3^2 5^2 (no slack in the FFT length)
     # and 901 (the length jumps to 960)
@@ -292,6 +295,7 @@ def test_segment_cycles_matches_oracle(name):
 
 def test_voiced_cases_have_cycles():
     for name in ("pulse_16k", "pulse_44k", "pulse_48k", "gapped_16k", "ragged_tail",
+                 "negated_pulse_16k",
                  "pulse_8k", "pulse_22k", "nfft_exact_smooth", "nfft_just_above_smooth"):
         make, cfg = CASES[name]
         sig = make()

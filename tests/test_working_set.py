@@ -1,0 +1,48 @@
+"""The per-recording path of `extract` holds at most two signal-sized
+temporaries besides the decoded samples.
+
+tracemalloc sees numpy's data buffers, so the traced peak of one recording
+through load_wav -> track_pitch -> segment_cycles -> extract_all bounds the
+working set.  Three signal-sized arrays (the samples plus two) come to
+3 x samples.nbytes; the bound leaves a little room for the block-sized rFFT
+buffers and the per-frame pitch estimates.
+"""
+
+import tracemalloc
+
+from voicepd import audio_io
+from voicepd.features import extract_all
+from voicepd.pitch import PitchConfig, segment_cycles, track_pitch
+from voicepd.synth import SynthSpec, gen_signal
+
+MAX_RATIO = 3.2
+
+
+def _one_recording(path, config):
+    signal = audio_io.load_wav(path)
+    track = segment_cycles(signal, track_pitch(signal, config), config)
+    extract_all(signal, track, config)
+    return signal.samples.nbytes
+
+
+def test_ten_second_recording_peak(tmp_path):
+    signal, _ = gen_signal(SynthSpec(kind="pulse_train", f0=120.0, duration_s=10.0,
+                                     sample_rate=44100, jitter_pct=1.0, shimmer_db=0.5,
+                                     seed=3))
+    path = str(tmp_path / "long.wav")
+    audio_io.save_wav(signal, path)
+    del signal
+    config = PitchConfig()
+    _one_recording(path, config)  # warm-up: FFT plan caches and lazy imports
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        nbytes = _one_recording(path, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= MAX_RATIO * nbytes, f"peak {peak / nbytes:.2f} x samples.nbytes"
