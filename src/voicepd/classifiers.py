@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, Standardizer
+from .data import LabeledDataset, Standardizer, label_classes
 from .errors import DataError
 
 
@@ -19,26 +19,37 @@ from .errors import DataError
 
 class KNearestNeighbors:
     def __init__(self, k: int = 5):
-        self.k = k
+        self.n_neighbors = k  # as configured
+        self.k = k            # as the last fit uses it: at most its row count
         self.X = None
         self.y = None
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         if len(X) == 0:
             raise DataError("cannot fit knn on an empty dataset")
-        if self.k > len(X):
+        self.k = min(self.n_neighbors, len(X))
+        if self.k < self.n_neighbors:
             import warnings
-            warnings.warn(f"knn k={self.k} > n={len(X)}; clamping to n")
-            self.k = len(X)
+            warnings.warn(f"knn k={self.n_neighbors} > n={len(X)}; clamping to n")
         self.X = np.array(X)
         self.y = np.array(y)
         return self
 
+    def _distances(self, X: np.ndarray) -> np.ndarray:
+        """(queries x rows) Euclidean distances, one query row at a time, so
+        the working set is one (rows x features) difference, not a
+        (queries x rows x features) tensor."""
+        X = np.asarray(X)
+        dists = np.empty((len(X), len(self.X)))
+        diff = np.empty(self.X.shape, np.result_type(self.X, X))
+        for q, row in zip(X, dists):
+            np.square(np.subtract(self.X, q, out=diff), out=diff)
+            np.sqrt(np.sum(diff, axis=1, out=row), out=row)
+        return dists
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        # one distance matrix for the whole query; each query's k nearest rows
-        # in stable-argsort order vote
-        diff = self.X[None, :, :] - np.asarray(X)[:, None, :]
-        dists = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+        # each query's k nearest rows in stable-argsort order vote
+        dists = self._distances(X)
         order = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
         labels = self.y[order]
         counts = np.stack([np.count_nonzero(labels == c, axis=1) for c in range(3)], axis=1)
@@ -79,7 +90,8 @@ class DecisionTree:
             node, X, y, depth = stack.pop()
             counts = np.bincount(y, minlength=3)
             node["counts"] = counts.tolist()
-            if depth >= self.max_depth or len(np.unique(y)) <= 1 or len(y) < 2 * self.min_leaf:
+            if (depth >= self.max_depth or np.count_nonzero(counts) <= 1
+                    or len(y) < 2 * self.min_leaf):
                 continue
             best = self._best_split(X, y, counts)
             if best is None or best[0] >= _gini(counts) - 1e-15:
@@ -150,7 +162,7 @@ class GaussianNaiveBayes:
         if len(X) == 0:
             raise DataError("cannot fit naive Bayes on an empty dataset")
         X, y = np.asarray(X), np.asarray(y)
-        self.classes_ = np.unique(y)
+        self.classes_ = label_classes(y)
         self.priors = np.array([np.mean(y == c) for c in self.classes_])
         self.means = np.array([X[y == c].mean(axis=0) for c in self.classes_])
         self.vars = np.maximum(
@@ -219,7 +231,7 @@ class LinearSVM:
             raise DataError("cannot fit svm on an empty dataset")
         machines = []  # (total steps, model index, class index, row count)
         for mi, (model, X, y) in enumerate(zip(models, Xs, ys)):
-            model.classes_ = np.unique(y)
+            model.classes_ = label_classes(y)
             model.W = np.zeros((len(model.classes_), X.shape[1]))
             model.b = np.zeros(len(model.classes_))
             machines += [(model.epochs * len(X), mi, ci, len(X))

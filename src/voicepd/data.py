@@ -12,6 +12,14 @@ from .features import FEATURE_NAMES
 CLASS_NAMES = {0: "0 (Med Off)", 1: "1 (Healthy)", 2: "2 (Med On)"}
 
 
+def label_classes(labels: np.ndarray) -> np.ndarray:
+    """The classes a label array in {0, 1, 2} holds, ascending.
+
+    Unlike np.unique, this does not make numpy import numpy.ma.
+    """
+    return np.flatnonzero(np.bincount(labels, minlength=3))
+
+
 @dataclass
 class LabeledDataset:
     features: np.ndarray          # (n_samples, n_features)
@@ -25,7 +33,7 @@ class LabeledDataset:
             raise DataError("features must be a 2-D array")
         if len(self.features) != len(self.labels):
             raise DataError("features and labels must have equal length")
-        if len(self.labels) and not np.all(np.isin(self.labels, [0, 1, 2])):
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() > 2):
             raise DataError("labels must be in {0, 1, 2}")
         if self.features.shape[1] != len(self.feature_names):
             raise DataError("feature_names length must match feature columns")

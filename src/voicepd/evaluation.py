@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import TrainedModel, train_many
-from .data import CLASS_NAMES, LabeledDataset
+from .data import CLASS_NAMES, LabeledDataset, label_classes
 from .errors import DataError
 from .selection import DEFAULT_BINS, chi2_scores, select_top_k
 
@@ -122,7 +122,7 @@ def stratified_split(dataset: LabeledDataset, test_fraction: float,
     if not 0 < target < n:
         side = "holdout" if target == 0 else "training"
         raise DataError(f"test_fraction {test_fraction} of {n} rows leaves an empty {side} set")
-    classes = sorted(int(c) for c in np.unique(dataset.labels))
+    classes = label_classes(dataset.labels).tolist()
     exact = {c: np.count_nonzero(dataset.labels == c) * test_fraction for c in classes}
     counts = {c: _round_half_up(exact[c]) for c in classes}
     frac = {c: exact[c] - np.floor(exact[c]) for c in classes}

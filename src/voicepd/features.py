@@ -90,13 +90,13 @@ def mean_energy(signal: AudioSignal, pitch: PitchConfig = PitchConfig()) -> floa
     """Mean over analysis frames of per-frame average power (1/L) sum x^2,
     with the pitch tracker's frame length and hop.
 
-    Falls back to a single whole-signal frame when the signal is shorter
-    than one frame.
+    Raises UndefinedFeatureError when the signal is shorter than one frame.
     """
     power = signal.samples * signal.samples
     frames = frame_signal(power, signal.sample_rate, pitch.frame_ms, pitch.hop_ms)
     if len(frames) == 0:
-        return float(np.mean(power))
+        raise UndefinedFeatureError(f"recording of {len(power)} samples is shorter than one "
+                                    f"{frames.shape[1]}-sample analysis frame")
     return float(np.mean(np.mean(frames, axis=1)))
 
 

@@ -63,7 +63,11 @@ def _normalized_acf(frames: np.ndarray, nfft: int, n_lags: int) -> np.ndarray:
     """Raw autocorrelation sums r(0..n_lags-1) of each row, normalized by r(0);
     all zero for a row with r(0) <= 0."""
     spec = np.fft.rfft(frames, nfft)
-    power = spec * np.conj(spec)
+    # spec * conj(spec) with an explicit output: as an expression, numpy
+    # elides the temporary for blocks of 256 KiB and more and computes
+    # conj(spec) * spec, whose last bits differ
+    power = np.conj(spec)
+    np.multiply(spec, power, out=power)
     del spec  # the block's transforms are the largest arrays of the extract path
     acf = np.fft.irfft(power, nfft)[:, :n_lags]
     r0 = acf[:, :1]

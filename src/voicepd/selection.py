@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, label_classes
 from .errors import DataError
 
 # equal-width bins per feature
@@ -56,7 +56,7 @@ def chi2_scores(dataset: LabeledDataset, bins: int = DEFAULT_BINS) -> list[Featu
         raise DataError("cannot score an empty dataset")
     if bins < 2:
         raise DataError(f"bins must be >= 2, got {bins}")
-    classes = np.unique(dataset.labels)
+    classes = label_classes(dataset.labels)
     stats = []
     for j in range(dataset.n_features):
         binned = _bin_column(dataset.features[:, j], bins, dataset.feature_names[j])

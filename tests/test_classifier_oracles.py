@@ -1,8 +1,9 @@
 """Array and lockstep classifier code checked against the loop versions it
 replaced, which live on here as oracles, and the in-place lockstep trainers
 checked bit for bit against the first lockstep code.  The all-features tree
-split search is checked against the per-feature search, and the column-wise
-softmax against the reductions over the class axis.
+split search is checked against the per-feature search, the column-wise
+softmax against the reductions over the class axis, and the row-at-a-time
+kNN distances against the (queries x rows x features) tensor code.
 
 Trees and kNN outputs must be equal, SVM weights bit-identical, and NN
 weights and loss curves equal when every mini-batch is full.  A short last
@@ -318,6 +319,24 @@ def oracle_knn(Xtr, ytr, k, Xq):
     return pred, scores
 
 
+def oracle_broadcast_knn(Xtr, ytr, k, Xq):
+    """(predictions, distances) from one (queries x rows x features)
+    difference tensor, the array kNN that preceded the row-at-a-time one."""
+    diff = Xtr[None, :, :] - np.asarray(Xq)[:, None, :]
+    dists = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    labels = ytr[order]
+    counts = np.stack([np.count_nonzero(labels == c, axis=1) for c in range(3)], axis=1)
+    out = np.argmax(counts, axis=1)
+    tied = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) > 1
+    for i in np.flatnonzero(tied):
+        best = np.flatnonzero(counts[i] == counts[i].max())
+        near, labels = dists[i, order[i]], ytr[order[i]]
+        sums = {c: float(near[labels == c].sum()) for c in best}
+        out[i] = min(best, key=lambda c: (sums[c], c))
+    return out, dists
+
+
 def oracle_run_experiment(dataset, algorithm, seed, test_fraction, cv_k,
                           hyperparams, bins, top_k):
     """The report built with one `train` call per fit, fold after fold."""
@@ -513,6 +532,21 @@ class TestKnnOracle:
         knn = KNearestNeighbors(k=k).fit(Xtr, ytr)
         pred, _ = oracle_knn(Xtr, ytr, k, Xq)
         np.testing.assert_array_equal(knn.predict(Xq), pred)
+        broadcast_pred, dists = oracle_broadcast_knn(Xtr, ytr, k, Xq)
+        np.testing.assert_array_equal(knn.predict(Xq), broadcast_pred)
+        assert_bit_equal(knn._distances(Xq), dists)
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_nineteen_features_equal_broadcast(self, k):
+        # the pipeline's shape: z-scored overlapping classes, all 19 features
+        rng = np.random.default_rng(19 + k)
+        ytr = rng.integers(0, 3, size=340)
+        Xtr = rng.standard_normal((340, 19)) + 0.5 * ytr[:, None]
+        Xq = rng.standard_normal((60, 19)) + 0.5 * rng.integers(0, 3, size=60)[:, None]
+        knn = KNearestNeighbors(k=k).fit(Xtr, ytr)
+        pred, dists = oracle_broadcast_knn(Xtr, ytr, k, Xq)
+        np.testing.assert_array_equal(knn.predict(Xq), pred)
+        assert_bit_equal(knn._distances(Xq), dists)
 
 
 class TestSvmOracle:

@@ -47,6 +47,17 @@ class TestTrain:
             model = train("knn", ds, {"k": 10}, seed=0)
         assert model.model.k == 3
 
+    def test_knn_refit_clamps_from_configured_k(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((100, 2)), rng.integers(0, 3, size=100)
+        knn = KNearestNeighbors(k=5)
+        with pytest.warns(UserWarning, match="clamping"):
+            knn.fit(X[:3], y[:3])
+        assert knn.k == 3
+        knn.fit(X, y)
+        assert knn.k == 5
+        np.testing.assert_array_equal(knn.predict(X), KNearestNeighbors(k=5).fit(X, y).predict(X))
+
     def test_empty_dataset_rejected(self):
         ds = LabeledDataset(features=np.empty((0, 3)), labels=np.array([], dtype=int),
                             feature_names=["a", "b", "c"])

@@ -590,6 +590,33 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_rank_and_evaluate_load_no_numpy_ma(tmp_path):
+    """No command of `rank` or `evaluate` calls np.unique, np.isin or
+    np.median, whose first call imports numpy.ma: about 1.3 MB of memory
+    and 10-20 ms in every process."""
+    from voicepd.data import save_feature_csv
+    from voicepd.synth import gen_blobs
+    features = tmp_path / "f.csv"
+    save_feature_csv(str(features), gen_blobs((12, 14, 15), separation=1.0, sigma=1.0, seed=5))
+    commands = [["rank", "--features", str(features), "--out", str(tmp_path / "r.csv")]]
+    commands += [["evaluate", "--features", str(features), "--algorithm", algorithm,
+                  "--top-k", "8", "--cv-k", "3", "--out", str(tmp_path / f"{algorithm}.json")]
+                 for algorithm in ALGORITHMS]
+    src = str(Path(voicepd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys, numpy; print('numpy.ma' in sys.modules); "
+            "from voicepd import cli; "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    lines = done.stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert lines[-1] == f"{[0] * len(commands)} False"
+
+
 _MODEL_FIELDS = [(algorithm, name, arg) for algorithm, (_, fields, _) in REGISTRY.items()
                  for name, arg in fields.items()]
 

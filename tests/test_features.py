@@ -133,6 +133,13 @@ class TestMeanEnergy:
     def test_silence(self):
         assert F.mean_energy(sig([0.0] * 8000)) == 0.0
 
+    def test_shorter_than_one_frame_rejected(self):
+        # 40-ms frames at 8 kHz are 320 samples
+        with pytest.raises(UndefinedFeatureError,
+                           match="319 samples is shorter than one 320-sample analysis frame"):
+            F.mean_energy(sig([0.5] * 319))
+        assert F.mean_energy(sig([0.5] * 320)) == pytest.approx(0.25, abs=1e-12)
+
 
 class TestDescriptiveStats:
     def test_hand_case(self):

@@ -270,6 +270,21 @@ def test_acf_of_minimal_length_equals_direct_sums(fs):
         np.testing.assert_allclose(acf, sums / sums[0], rtol=0, atol=SCORE_ABS)
 
 
+def test_acf_of_a_block_equals_acf_of_each_frame():
+    """A 32-frame 44.1-kHz block's spectra fill 640 KB, past the size from
+    which numpy elides the temporary of `a * f(a)`; the spectrum product
+    must still be the one each frame gets alone, bit for bit."""
+    fs, cfg = 44100, PitchConfig()
+    frame_len, hop = oracle_frame_geometry(fs, cfg)
+    x = pulse(fs, f0=130.0, seed=2).samples
+    frames = np.stack([x[i * hop:i * hop + frame_len] for i in range(_BLOCK_FRAMES)])
+    nfft, n_lags = required_acf_length(fs, cfg), int(np.floor(fs / cfg.f0_min)) + 2
+    block = _normalized_acf(frames, nfft, n_lags)
+    for i, frame in enumerate(frames):
+        alone = _normalized_acf(frame[np.newaxis], nfft, n_lags)[0]
+        assert block[i].tobytes() == alone.tobytes(), i
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_track_pitch_matches_oracle(name):
     make, cfg = CASES[name]

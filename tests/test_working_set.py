@@ -1,5 +1,6 @@
 """The per-recording path of `extract` holds at most two signal-sized
-temporaries besides the decoded samples.
+temporaries besides the decoded samples, and kNN prediction no
+(queries x rows x features) tensor.
 
 tracemalloc sees numpy's data buffers, so the traced peak of one recording
 through load_wav -> track_pitch -> segment_cycles -> extract_all bounds the
@@ -10,12 +11,30 @@ buffers and the per-frame pitch estimates.
 
 import tracemalloc
 
+import numpy as np
+
 from voicepd import audio_io
+from voicepd.classifiers import KNearestNeighbors
 from voicepd.features import extract_all
 from voicepd.pitch import PitchConfig, segment_cycles, track_pitch
 from voicepd.synth import SynthSpec, gen_signal
 
 MAX_RATIO = 3.2
+
+
+def _traced_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak beyond what was live before."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def _one_recording(path, config):
@@ -34,15 +53,18 @@ def test_ten_second_recording_peak(tmp_path):
     del signal
     config = PitchConfig()
     _one_recording(path, config)  # warm-up: FFT plan caches and lazy imports
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        nbytes = _one_recording(path, config)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    peak, nbytes = _traced_peak(_one_recording, path, config)
     assert peak <= MAX_RATIO * nbytes, f"peak {peak / nbytes:.2f} x samples.nbytes"
+
+
+def test_knn_predict_peak():
+    """The (queries x rows) distance matrix and its argsort set the peak;
+    a difference tensor over 19 features would be 19 times the matrix."""
+    rng = np.random.default_rng(0)
+    knn = KNearestNeighbors(k=5).fit(rng.standard_normal((500, 19)),
+                                     rng.integers(0, 3, size=500))
+    queries = rng.standard_normal((200, 19))
+    knn.predict(queries[:2])  # warm-up
+    matrix = 200 * 500 * 8
+    peak, _ = _traced_peak(knn.predict, queries)
+    assert peak <= 3 * matrix, f"peak {peak / matrix:.2f} x the distance matrix"
