@@ -6,6 +6,7 @@ fitted Standardizer) and are deterministic given (data, hyperparams, seed).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -487,16 +488,9 @@ class NeuralNetwork:
         return np.argmax(probs, axis=1)
 
 
-# algorithm -> (model class, RunConfig field -> constructor argument, whether
-# the model takes the seed); an argument left out keeps the constructor default
-REGISTRY = {
-    "knn": (KNearestNeighbors, {"knn_k": "k"}, False),
-    "tree": (DecisionTree, {"tree_max_depth": "max_depth", "tree_min_leaf": "min_leaf"}, False),
-    "nb": (GaussianNaiveBayes, {"nb_var_floor": "var_floor"}, False),
-    "svm": (LinearSVM, {"svm_lambda": "lam", "svm_epochs": "epochs"}, True),
-    "nn": (NeuralNetwork, {"nn_hidden": "hidden", "nn_lr": "lr", "nn_epochs": "epochs",
-                           "nn_batch": "batch_size"}, True),
-}
+# algorithm -> model class; `train_many` passes the seed to a constructor that takes one
+REGISTRY = {"knn": KNearestNeighbors, "tree": DecisionTree, "nb": GaussianNaiveBayes,
+            "svm": LinearSVM, "nn": NeuralNetwork}
 ALGORITHMS = tuple(REGISTRY)
 
 
@@ -531,7 +525,8 @@ def train_many(algorithm: str, datasets: list[LabeledDataset],
         raise DataError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if any(len(ds) == 0 for ds in datasets):
         raise DataError("cannot train on an empty dataset")
-    cls, _, takes_seed = REGISTRY[algorithm]
+    cls = REGISTRY[algorithm]
+    takes_seed = "seed" in inspect.signature(cls).parameters
     kwargs = {**(hyperparams or {}), **({"seed": seed} if takes_seed else {})}
     standardizers = [Standardizer().fit(ds.features) for ds in datasets]
     models = [cls(**kwargs) for _ in datasets]

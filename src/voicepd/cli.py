@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio_io, evaluation
-from .classifiers import ALGORITHMS, REGISTRY
+from .classifiers import ALGORITHMS
 from .data import LabeledDataset, load_feature_csv, open_output, save_feature_csv
 from .errors import ConfigError, DataError, VoicePDError
 from .features import DEFAULT_SURE_THRESHOLD, FEATURE_NAMES, extract_all
@@ -32,16 +31,23 @@ EXIT_INTERNAL = 3
 
 _KIND_ALIASES = {"pulse": "pulse_train", "noise": "white_noise"}
 
-# accepted Python types per RunConfig annotation, lower bounds of int fields,
-# and the float fields that must be > 0; None passes both bounds
-_FIELD_TYPES = {"int": (int,), "float": (int, float),
-                "int | None": (int, type(None)), "float | None": (int, float, type(None))}
-_MINIMUMS = {"seed": 0, "bins": 2, "top_k": 1, "cv_k": 2, "knn_k": 1, "tree_max_depth": 1,
-             "tree_min_leaf": 1, "svm_epochs": 1, "nn_hidden": 1, "nn_epochs": 1, "nn_batch": 1}
-# chi2_scores allocates a (bins, classes) table and one bincount per feature
-_MAX_BINS = 1 << 16
-_POSITIVE = ("frame_ms", "hop_ms", "f0_min", "sure_threshold", "svm_lambda", "nn_lr",
-             "nb_var_floor")
+
+def _tunable(default, kind: type, *, gt=None, ge=None, lt=None, le=None, model=None):
+    """A RunConfig field declared with its kind (int or float), its range (gt or ge,
+    lt or le; unbounded where unset) and the (algorithm, constructor argument) it sets."""
+    algorithm, argument = model or (None, None)
+    return dataclasses.field(default=default, metadata={
+        "kind": kind, "low": (ge, "[") if gt is None else (gt, "("),
+        "high": (le, "]") if lt is None else (lt, ")"),
+        "algorithm": algorithm, "argument": argument})
+
+
+def _range_text(f: dataclasses.Field) -> str:
+    """A field's range as errors and --help give it: '>= 1', '> 0' or 'in (0, 1)'."""
+    (low, left), (high, right) = f.metadata["low"], f.metadata["high"]
+    if high is not None:
+        return f"in {left}{low}, {high}{right}"
+    return "" if low is None else f"{'>=' if left == '[' else '>'} {low}"
 
 
 @dataclass
@@ -51,27 +57,28 @@ class RunConfig:
     A model hyperparameter left at None takes its constructor's default.
     """
 
-    seed: int = 0
-    frame_ms: float = PitchConfig.frame_ms
-    hop_ms: float = PitchConfig.hop_ms
-    f0_min: float = PitchConfig.f0_min
-    f0_max: float = PitchConfig.f0_max
-    voicing_threshold: float = PitchConfig.voicing_threshold
-    sure_threshold: float = DEFAULT_SURE_THRESHOLD
-    bins: int = DEFAULT_BINS
-    top_k: int | None = None
-    test_fraction: float = evaluation.DEFAULT_TEST_FRACTION
-    cv_k: int = evaluation.DEFAULT_CV_K
-    knn_k: int | None = None
-    tree_max_depth: int | None = None
-    tree_min_leaf: int | None = None
-    nb_var_floor: float | None = None
-    svm_lambda: float | None = None
-    svm_epochs: int | None = None
-    nn_hidden: int | None = None
-    nn_lr: float | None = None
-    nn_epochs: int | None = None
-    nn_batch: int | None = None
+    seed: int = _tunable(0, int, ge=0)
+    frame_ms: float = _tunable(PitchConfig.frame_ms, float, gt=0)
+    hop_ms: float = _tunable(PitchConfig.hop_ms, float, gt=0)
+    f0_min: float = _tunable(PitchConfig.f0_min, float, gt=0)
+    f0_max: float = _tunable(PitchConfig.f0_max, float)
+    voicing_threshold: float = _tunable(PitchConfig.voicing_threshold, float, ge=0, le=1)
+    sure_threshold: float = _tunable(DEFAULT_SURE_THRESHOLD, float, gt=0)
+    # chi2_scores allocates a (bins, classes) table and one bincount per feature
+    bins: int = _tunable(DEFAULT_BINS, int, ge=2, le=1 << 16)
+    top_k: int | None = _tunable(None, int, ge=1)
+    test_fraction: float = _tunable(evaluation.DEFAULT_TEST_FRACTION, float, gt=0, lt=1)
+    cv_k: int = _tunable(evaluation.DEFAULT_CV_K, int, ge=2)
+    knn_k: int | None = _tunable(None, int, ge=1, model=("knn", "k"))
+    tree_max_depth: int | None = _tunable(None, int, ge=1, model=("tree", "max_depth"))
+    tree_min_leaf: int | None = _tunable(None, int, ge=1, model=("tree", "min_leaf"))
+    nb_var_floor: float | None = _tunable(None, float, gt=0, model=("nb", "var_floor"))
+    svm_lambda: float | None = _tunable(None, float, gt=0, model=("svm", "lam"))
+    svm_epochs: int | None = _tunable(None, int, ge=1, model=("svm", "epochs"))
+    nn_hidden: int | None = _tunable(None, int, ge=1, model=("nn", "hidden"))
+    nn_lr: float | None = _tunable(None, float, gt=0, model=("nn", "lr"))
+    nn_epochs: int | None = _tunable(None, int, ge=1, model=("nn", "epochs"))
+    nn_batch: int | None = _tunable(None, int, ge=1, model=("nn", "batch_size"))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -84,8 +91,7 @@ class RunConfig:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise VoicePDError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)
@@ -93,31 +99,24 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        """Raise ConfigError on a value of the wrong type or out of range."""
+        """Raise ConfigError on a value of the wrong type, not finite or out of its
+        declared range, or on f0_min >= f0_max; float fields then hold floats."""
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            allowed = _FIELD_TYPES[f.type]
-            if isinstance(value, bool) or not isinstance(value, allowed):
+            value, kind = getattr(self, f.name), f.metadata["kind"]
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
                 raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            # false for nan, inf and a JSON integer beyond float64
+            if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ConfigError(f"config {f.name} must be finite, got {value!r}")
-        for name, low in _MINIMUMS.items():
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ConfigError(f"config {name} must be >= {low}, got {value}")
-        if self.bins > _MAX_BINS:
-            raise ConfigError(f"config bins must be <= {_MAX_BINS}, got {self.bins}")
-        for name in _POSITIVE:
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"config {name} must be > 0, got {value}")
+            (low, left), (high, right) = f.metadata["low"], f.metadata["high"]
+            if (low is not None and (value < low or value == low and left == "(")
+                    or high is not None and (value > high or value == high and right == ")")):
+                raise ConfigError(f"config {f.name} must be {_range_text(f)}, got {value}")
+            setattr(self, f.name, kind(value))
         if self.f0_min >= self.f0_max:
             raise ConfigError(f"config f0_min must be < f0_max, got {self.f0_min} >= {self.f0_max}")
-        if not 0.0 <= self.voicing_threshold <= 1.0:
-            raise ConfigError(
-                f"config voicing_threshold must be in [0, 1], got {self.voicing_threshold}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"config test_fraction must be in (0, 1), got {self.test_fraction}")
 
     def pitch_config(self) -> PitchConfig:
         return PitchConfig(frame_ms=self.frame_ms, hop_ms=self.hop_ms, f0_min=self.f0_min,
@@ -125,9 +124,8 @@ class RunConfig:
 
     def hyperparams(self, algorithm: str) -> dict:
         """Constructor arguments of `algorithm`'s model from the fields that are set."""
-        fields = REGISTRY[algorithm][1]
-        return {arg: getattr(self, name) for name, arg in fields.items()
-                if getattr(self, name) is not None}
+        return {f.metadata["argument"]: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.metadata["algorithm"] == algorithm and getattr(self, f.name) is not None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,12 +135,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, fields: list[str]) -> None:
-    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _add_config_flags(p: argparse.ArgumentParser, names: list[str]) -> None:
     p.add_argument("--config", help="JSON config file providing defaults")
-    for name in fields:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
-                       type=int if annotations[name].startswith("int") else float)
+    for f in (f for f in dataclasses.fields(RunConfig) if f.name in names):
+        default = ("the model's own" if f.metadata["algorithm"]
+                   else "every feature" if f.default is None else f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                       type=f.metadata["kind"],
+                       help=f"{f.metadata['kind'].__name__} {_range_text(f)} (default: {default})")
 
 
 def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
@@ -158,7 +158,7 @@ def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
 _EXTRACT_FIELDS = ["seed", "frame_ms", "hop_ms", "f0_min", "f0_max",
                    "voicing_threshold", "sure_threshold"]
 _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
-                *(name for _, fields, _ in REGISTRY.values() for name in fields)]
+                *(f.name for f in dataclasses.fields(RunConfig) if f.metadata["algorithm"])]
 
 
 def cmd_extract(args) -> int:
@@ -267,7 +267,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="voicepd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="extract the 19-feature table from a manifest")
+    p = sub.add_parser("extract", help="extract the 19-feature table from a manifest",
+                       epilog="--f0-min must be below --f0-max")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, _EXTRACT_FIELDS)

@@ -28,7 +28,13 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":
+            # a cast would truncate 1.7 to 1, and turn nan or inf into some integer
+            as_float = labels.astype(np.float64)
+            if not ((as_float == 0.0) | (as_float == 1.0) | (as_float == 2.0)).all():
+                raise DataError("labels must be in {0, 1, 2}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise DataError("features must be a 2-D array")
         if len(self.features) != len(self.labels):

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,21 @@ def small_dataset(labels, features=None):
         features = rng.standard_normal((len(labels), 4))
     names = [f"f{j}" for j in range(features.shape[1])]
     return LabeledDataset(features=features, labels=labels, feature_names=names)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [[1.7, 2.9], [float("nan"), 1.0], [float("inf"), 0.0],
+                                        [1e300, 0.0], [-1.0, 0.0]])
+    def test_labels_not_in_the_classes_rejected(self, labels):
+        # a cast to int64 would truncate 1.7 to 1 and warn on nan, inf or 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"labels must be in \{0, 1, 2\}"):
+                LabeledDataset(np.zeros((2, 1)), labels, ["a"])
+
+    def test_integral_float_labels_accepted(self):
+        ds = LabeledDataset(np.zeros((3, 1)), [2.0, 0.0, 1.0], ["a"])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 1]
 
 
 class TestTrain:

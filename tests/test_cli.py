@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -190,7 +191,7 @@ class TestRankCommand:
         assert run("rank", "--features", tmp_path / "missing.csv", "--out",
                    tmp_path / "ranked.csv", "--bins", 10 ** 15) == 2
         assert capsys.readouterr().err == (
-            "error: config bins must be <= 65536, got 1000000000000000\n")
+            "error: config bins must be in [2, 65536], got 1000000000000000\n")
 
 
 class TestEvaluateCommand:
@@ -361,7 +362,7 @@ class TestRunConfig:
         ({"cv_k": "10"}, [], "cv_k must be int"),
         ({}, ["--nn-batch", 0], "nn_batch must be >= 1"),
         ({"knn_k": 0}, [], "knn_k must be >= 1"),
-        ({"bins": 1}, [], "bins must be >= 2"),
+        ({"bins": 1}, [], "config bins must be in [2, 65536], got 1"),
         ({"test_fraction": 1.0}, [], "test_fraction must be in (0, 1)"),
         ({"svm_lambda": True}, [], "svm_lambda must be float"),
         ({}, ["--cv-k", 1], "cv_k must be >= 2"),
@@ -387,7 +388,15 @@ class TestRunConfig:
         ({}, ["--test-fraction", 0.99, "--cv-k", 3],
          "test_fraction 0.99 of 30 rows leaves an empty training set"),
         ({}, ["--top-k", 0], "config top_k must be >= 1, got 0"),
-        ({}, ["--bins", 10 ** 15], "config bins must be <= 65536, got 1000000000000000"),
+        ({}, ["--bins", 10 ** 15], "config bins must be in [2, 65536], got 1000000000000000"),
+        # JSON integers beyond float64 in float fields
+        ({"frame_ms": 10 ** 400}, [], "config frame_ms must be finite, got 1000"),
+        ({"hop_ms": 10 ** 400}, [], "config hop_ms must be finite, got 1000"),
+        ({"sure_threshold": 10 ** 400}, [], "config sure_threshold must be finite, got 1000"),
+        ({"f0_max": 10 ** 400}, [], "config f0_max must be finite, got 1000"),
+        ({"nn_lr": 10 ** 400}, [], "config nn_lr must be finite, got 1000"),
+        ({"svm_lambda": 10 ** 400}, [], "config svm_lambda must be finite, got 1000"),
+        ({"nb_var_floor": -10 ** 400}, [], "config nb_var_floor must be finite, got -1000"),
     ])
     def test_invalid_values_exit_2(self, tmp_path, capsys, config, flags, message):
         from voicepd.data import save_feature_csv
@@ -415,6 +424,12 @@ class TestRunConfig:
         (["--f0-min", 0], "f0_min must be > 0"),
         (["--f0-min", 500, "--f0-max", 60], "f0_min must be < f0_max"),
         (["--voicing-threshold", -0.1], "voicing_threshold must be in [0, 1]"),
+        # a dict stands for a --config file holding it: JSON integers beyond float64
+        ([{"frame_ms": 10 ** 400}], "config frame_ms must be finite, got 1000"),
+        ([{"hop_ms": 10 ** 400}], "config hop_ms must be finite, got 1000"),
+        ([{"sure_threshold": 10 ** 400}], "config sure_threshold must be finite, got 1000"),
+        ([{"f0_max": 10 ** 400}], "config f0_max must be finite, got 1000"),
+        ([{"f0_min": -10 ** 400}], "config f0_min must be finite, got -1000"),
     ])
     def test_invalid_extract_flags_exit_2(self, tmp_path, capsys, flags, message):
         assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
@@ -422,6 +437,11 @@ class TestRunConfig:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
         out = tmp_path / "f.csv"
+        cfg_path = tmp_path / "cfg.json"
+        for i, flag in enumerate(flags):
+            if isinstance(flag, dict):
+                cfg_path.write_text(json.dumps(flag))
+                flags = [*flags[:i], "--config", cfg_path, *flags[i + 1:]]
         assert run("extract", "--manifest", manifest, "--out", out, *flags) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -617,8 +637,8 @@ def test_rank_and_evaluate_load_no_numpy_ma(tmp_path):
     assert lines[-1] == f"{[0] * len(commands)} False"
 
 
-_MODEL_FIELDS = [(algorithm, name, arg) for algorithm, (_, fields, _) in REGISTRY.items()
-                 for name, arg in fields.items()]
+_MODEL_FIELDS = [(f.metadata["algorithm"], f.name, f.metadata["argument"])
+                 for f in dataclasses.fields(RunConfig) if f.metadata["algorithm"]]
 
 
 @pytest.mark.parametrize("algorithm,name,arg", _MODEL_FIELDS)
@@ -628,8 +648,9 @@ def test_hyperparameter_flag_reaches_model(tmp_path, monkeypatch, algorithm, nam
     from voicepd import evaluation
     from voicepd.data import save_feature_csv
     from voicepd.synth import gen_blobs
-    cls, fields, _ = REGISTRY[algorithm]
-    defaults = {a: inspect.signature(cls).parameters[a].default for a in fields.values()}
+    cls = REGISTRY[algorithm]
+    defaults = {a: inspect.signature(cls).parameters[a].default
+                for algo, _, a in _MODEL_FIELDS if algo == algorithm}
     value = 2 if isinstance(defaults[arg], int) else defaults[arg] * 2
     assert value != defaults[arg]
     expected = {**defaults, arg: value}
@@ -657,9 +678,135 @@ def test_evaluate_flags_are_run_fields_plus_registry():
     flags = set(vars(args)) - {"command", "func", "features", "algorithm", "out", "config"}
     assert flags == {"seed", "bins", "top_k", "test_fraction", "cv_k",
                      *(name for _, name, _ in _MODEL_FIELDS)}
-    # no two fields of a model set the same constructor argument
-    for _, fields, _ in REGISTRY.values():
-        assert len(set(fields.values())) == len(fields)
+    # each field sets a constructor argument of its model, and no two fields
+    # of a model set the same one
+    for algorithm, _, arg in _MODEL_FIELDS:
+        assert arg in inspect.signature(REGISTRY[algorithm]).parameters
+    assert len({(algorithm, arg) for algorithm, _, arg in _MODEL_FIELDS}) == len(_MODEL_FIELDS)
+
+
+# each config field's kind, range and whether it defaults to None, written
+# out here so that a change to RunConfig's declarations shows up as a failure
+_RANGES = [
+    ("seed", int, "[0, inf)", False),
+    ("frame_ms", float, "(0, inf)", False),
+    ("hop_ms", float, "(0, inf)", False),
+    ("f0_min", float, "(0, inf)", False),
+    ("f0_max", float, "(-inf, inf)", False),
+    ("voicing_threshold", float, "[0, 1]", False),
+    ("sure_threshold", float, "(0, inf)", False),
+    ("bins", int, "[2, 65536]", False),
+    ("top_k", int, "[1, inf)", True),
+    ("test_fraction", float, "(0, 1)", False),
+    ("cv_k", int, "[2, inf)", False),
+    ("knn_k", int, "[1, inf)", True),
+    ("tree_max_depth", int, "[1, inf)", True),
+    ("tree_min_leaf", int, "[1, inf)", True),
+    ("nb_var_floor", float, "(0, inf)", True),
+    ("svm_lambda", float, "(0, inf)", True),
+    ("svm_epochs", int, "[1, inf)", True),
+    ("nn_hidden", int, "[1, inf)", True),
+    ("nn_lr", float, "(0, inf)", True),
+    ("nn_epochs", int, "[1, inf)", True),
+    ("nn_batch", int, "[1, inf)", True),
+]
+
+
+def _range_text(interval):
+    """How errors, --help and README write an interval: '>= 1', '> 0', 'in [0, 1]'."""
+    low, high = interval[1:-1].split(", ")
+    if high != "inf":
+        return f"in {interval}"
+    if low == "-inf":
+        return ""
+    return (">= " if interval[0] == "[" else "> ") + low
+
+
+def test_config_fields_are_the_pinned_ones():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [r[0] for r in _RANGES]
+
+
+@pytest.mark.parametrize("name,kind,interval,nullable", _RANGES)
+def test_config_range_is_pinned(tmp_path, capsys, name, kind, interval, nullable):
+    """A --config value at a closed bound, or just inside an open one, is
+    accepted; the value at an open bound and the nearest value outside a
+    bound exit 2 with one error line."""
+    def rejected(value):
+        return f"error: config {name} must be {_range_text(interval)}, got {value}\n"
+
+    def verdict(value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        capsys.readouterr()
+        # the config is checked before the missing feature table is read
+        assert run("rank", "--features", tmp_path / "missing.csv", "--out",
+                   tmp_path / "r.csv", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return "accepted" if "cannot read feature CSV" in err else err
+
+    low, high = interval[1:-1].split(", ")
+    for bound, closed, outward in ((low, interval[0] == "[", -1), (high, interval[-1] == "]", 1)):
+        if bound in ("-inf", "inf"):
+            continue
+        bound = kind(float(bound))
+        if kind is int:
+            outside, inside = bound + outward, bound - outward
+        else:
+            outside = math.nextafter(bound, outward * math.inf)
+            inside = math.nextafter(bound, -outward * math.inf)
+        assert verdict(outside) == rejected(outside)
+        if closed:
+            assert verdict(bound) == "accepted"
+        else:
+            assert verdict(bound) == rejected(bound)
+            assert verdict(inside) == "accepted"
+    annotation = f"{kind.__name__} | None" if nullable else kind.__name__
+    if kind is int:
+        assert verdict(1.0) == f"error: config {name} must be {annotation}, got 1.0\n"
+    if nullable:
+        assert verdict(None) == "accepted"
+    else:
+        assert verdict(None) == f"error: config {name} must be {annotation}, got None\n"
+
+
+@pytest.mark.parametrize("command,n_flags", [("extract", 7), ("rank", 1), ("evaluate", 15)])
+def test_help_shows_each_config_flag_range(capsys, command, n_flags):
+    assert run(command, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    shown = 0
+    for name, kind, interval, _ in _RANGES:
+        flag = "--" + name.replace("_", "-")
+        if f"[{flag} " not in text:  # not a flag of this command
+            continue
+        shown += 1
+        entry = " ".join(filter(None, [flag, name.upper(), kind.__name__, _range_text(interval)]))
+        assert f"{entry} (default: " in text
+    assert shown == n_flags
+    if command == "extract":
+        assert "--f0-min must be below --f0-max" in text
+
+
+def test_readme_gives_each_config_flag_range_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        if line.startswith("| `--"):
+            cells = [c.strip() for c in line.split("|")]
+            rows[cells[1]] = cells
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    for name, kind, interval, _ in _RANGES:
+        _, _, kind_cell, range_cell, default_cell, *_ = rows["`--" + name.replace("_", "-") + "`"]
+        assert kind_cell == kind.__name__
+        assert range_cell == _range_text(interval) or _range_text(interval) == ""
+        algorithm, default = fields[name].metadata["algorithm"], fields[name].default
+        if algorithm:
+            default = inspect.signature(REGISTRY[algorithm]).parameters[
+                fields[name].metadata["argument"]].default
+        if default is None:
+            assert default_cell == "every feature"
+        else:
+            assert float(default_cell) == default
 
 
 class TestFullPipelineDeterminism:
