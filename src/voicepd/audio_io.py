@@ -1,4 +1,4 @@
-"""WAV decoding, dataset manifests, and analysis framing.
+"""WAV decoding, labelled text tables, and analysis framing.
 
 Decoded audio is always mono float64, scaled by the integer full-scale
 value and then peak-normalized so max |sample| = 1 (all-zero signals are
@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AudioDecodeError, ConfigError, ManifestError
+from .errors import AudioDecodeError, ConfigError, ManifestError, VoicePDError
 
 log = logging.getLogger(__name__)
 
-VALID_LABELS = (0, 1, 2)
+# the text of each class label in a manifest or feature CSV
+_LABELS = {"0": 0, "1": 1, "2": 2}
 
 # full-scale values per sample width in bytes
 _FULL_SCALE = {2: 32768.0, 3: 8388608.0}
@@ -134,37 +135,46 @@ def save_wav(signal: AudioSignal, path: str) -> None:
         wf.writeframes(ints.tobytes())
 
 
-def load_manifest(path: str) -> list[ManifestEntry]:
-    """Read a `path,label` manifest, header line optional."""
+def read_table(path: str, what: str, error: type[VoicePDError], header_required: bool):
+    """(header, rows) of a manifest or feature CSV, decoded whole before any row is split.
+
+    The header is the first non-blank line's fields when the last, stripped, is `label`,
+    else None.  `rows` yields (line number, fields) of each other non-blank line.  A file
+    that cannot be read or decoded, or lacks a required header, raises `error` naming `what`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
     except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path!r}: {exc.strerror}") from None
+        raise error(f"cannot read {what} {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise ManifestError(f"manifest {path!r} is not UTF-8 text: {exc}") from None
+        raise error(f"{what} {path!r} is not UTF-8 text: {exc}") from None
+    first = lines[0][1].split(",") if lines else [""]
+    header = first if first[-1].strip() == "label" else None
+    if header is None and header_required:
+        raise error(f"{what} {path!r} must end with a `label` column" if lines
+                    else f"empty {what}: {path!r}")
+    return header, ((no, line.split(",")) for no, line in (lines[1:] if header else lines))
+
+
+def parse_label(text: str, path: str, lineno: int, error: type[VoicePDError]) -> int:
+    """The class of a label field: exactly 0, 1 or 2 once stripped."""
+    label = _LABELS.get(text.strip())
+    if label is None:
+        raise error(f"{path!r} line {lineno}: label {text.strip()!r} is not one of 0, 1, 2")
+    return label
+
+
+def load_manifest(path: str) -> list[ManifestEntry]:
+    """Read a `path,label` manifest; a first line such as `path,label` is a header."""
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ManifestError(f"line {lineno}: expected `path,label`, got {line!r}")
-        wav_path, label_text = parts[0].strip(), parts[1].strip()
-        try:
-            label = int(label_text)
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise ManifestError(
-                f"line {lineno}: label {label_text!r} is not an integer"
-            ) from None
-        if label not in VALID_LABELS:
-            raise ManifestError(
-                f"line {lineno}: label {label} outside {{0, 1, 2}} for {wav_path!r}"
-            )
+    _, rows = read_table(path, "manifest", ManifestError, header_required=False)
+    for lineno, fields in rows:
+        if len(fields) != 2:
+            raise ManifestError(f"{path!r} line {lineno}: expected `path,label`, "
+                                f"got {','.join(fields)!r}")
+        wav_path, label = fields[0].strip(), parse_label(fields[1], path, lineno, ManifestError)
         if wav_path in seen:
             log.warning("manifest %s line %d: duplicate path %r (kept)", path, lineno, wav_path)
         seen.add(wav_path)

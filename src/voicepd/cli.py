@@ -155,8 +155,8 @@ def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
     return cfg
 
 
-_EXTRACT_FIELDS = ["seed", "frame_ms", "hop_ms", "f0_min", "f0_max",
-                   "voicing_threshold", "sure_threshold"]
+_EXTRACT_FIELDS = ["frame_ms", "hop_ms", "f0_min", "f0_max", "voicing_threshold",
+                   "sure_threshold"]
 _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
                 *(f.name for f in dataclasses.fields(RunConfig) if f.metadata["algorithm"])]
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio_io import parse_label, read_table
 from .errors import DataError
 from .features import FEATURE_NAMES
 
@@ -29,18 +30,14 @@ class LabeledDataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if labels.dtype.kind not in "iu":
-            # a cast would truncate 1.7 to 1, and turn nan or inf into some integer
-            as_float = labels.astype(np.float64)
-            if not ((as_float == 0.0) | (as_float == 1.0) | (as_float == 2.0)).all():
-                raise DataError("labels must be in {0, 1, 2}")
+        # before the cast, which would truncate 1.7 to 1 and turn nan or inf into some integer
+        if not ((labels == 0) | (labels == 1) | (labels == 2)).all():
+            raise DataError("labels must be in {0, 1, 2}")
         self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise DataError("features must be a 2-D array")
         if len(self.features) != len(self.labels):
             raise DataError("features and labels must have equal length")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() > 2):
-            raise DataError("labels must be in {0, 1, 2}")
         if self.features.shape[1] != len(self.feature_names):
             raise DataError("feature_names length must match feature columns")
 
@@ -113,19 +110,7 @@ def save_feature_csv(path: str, dataset: LabeledDataset) -> None:
 
 
 def load_feature_csv(path: str) -> LabeledDataset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # (line number in the file, text) of each non-blank line
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read feature CSV {path!r}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"feature CSV {path!r} is not UTF-8 text: {exc}") from None
-    if not lines:
-        raise DataError(f"empty feature CSV: {path!r}")
-    header = lines[0][1].split(",")
-    if header[-1] != "label":
-        raise DataError(f"feature CSV {path!r} must end with a `label` column")
+    header, table = read_table(path, "feature CSV", DataError, header_required=True)
     names = header[:-1]
     unnamed = next((j for j, n in enumerate(names) if not n.strip()), None)
     if unnamed is not None:
@@ -133,21 +118,21 @@ def load_feature_csv(path: str) -> LabeledDataset:
     repeated = next((n for i, n in enumerate(header) if n in header[:i]), None)
     if repeated is not None:
         raise DataError(f"feature CSV {path!r} has more than one column named {repeated!r}")
-    rows, labels = [], []
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
+    linenos, rows, labels = [], [], []
+    for lineno, parts in table:
         if len(parts) != len(header):
             raise DataError(f"{path!r} line {lineno}: expected {len(header)} fields")
         try:
             rows.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
         except ValueError as exc:
             raise DataError(f"{path!r} line {lineno}: {exc}") from None
+        labels.append(parse_label(parts[-1], path, lineno, DataError))
+        linenos.append(lineno)
     features = np.array(rows) if rows else np.empty((0, len(names)))
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):  # float() accepts nan, inf and 1e999, which extract never writes
         i, j = bad[0]
-        raise DataError(f"{path!r} line {lines[i + 1][0]}: {names[j]} is {features[i, j]}, "
+        raise DataError(f"{path!r} line {linenos[i]}: {names[j]} is {features[i, j]}, "
                         "not a finite number")
     return LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64),
                           feature_names=names)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioSignal, frame_geometry, frame_signal
+from .audio_io import AudioSignal, frame_signal
 from .errors import UndefinedFeatureError
 from .pitch import _BLOCK_FRAMES, PitchConfig, PitchTrack
 
@@ -273,11 +273,7 @@ def extract_all(signal: AudioSignal, track: PitchTrack, pitch: PitchConfig = Pit
     shorter than one pitch analysis frame, when jitter/shimmer or the
     spectrum are undefined, or when a value is not finite.
     """
-    n = len(signal.samples)
-    frame_len, _ = frame_geometry(signal.sample_rate, pitch.frame_ms, pitch.hop_ms)
-    if n < frame_len:
-        raise UndefinedFeatureError(
-            f"recording of {n} samples is shorter than one {frame_len}-sample analysis frame")
+    energy = mean_energy(signal, pitch)  # first: it rejects a recording shorter than one frame
     values = descriptive_stats(signal)
     spectrum = power_spectrum(signal)
     values.update(
@@ -286,7 +282,7 @@ def extract_all(signal: AudioSignal, track: PitchTrack, pitch: PitchConfig = Pit
         log_entropy=log_entropy(signal),
         power_bandwidth_hz=_power_bandwidth(*spectrum),
         jitter_pct=jitter(track),
-        mean_energy=mean_energy(signal, pitch),
+        mean_energy=energy,
         rms=rms(signal),
         shannon_entropy=_shannon_entropy(*spectrum),
         zcr=zcr(signal),

@@ -226,9 +226,17 @@ class TestManifest:
 
     def test_bad_label(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("x.wav,1\na.wav,3\n")
-        with pytest.raises(ManifestError, match=r"line 2.*3"):
-            load_manifest(str(path))
+        # a first line is a header only when its last column is `label`, so
+        # neither `1.0` nor `class` there is skipped
+        for text, lineno, label in [("x.wav,1\na.wav,3\n", 2, "3"),
+                                    ("a.wav,1.0\nb.wav,1\n", 1, "1.0"),
+                                    ("file,class\na.wav,1\n", 1, "class"),
+                                    ("x.wav,1\na.wav,+1\n", 2, "+1")]:
+            path.write_text(text)
+            with pytest.raises(ManifestError) as caught:
+                load_manifest(str(path))
+            assert str(caught.value) == (f"{str(path)!r} line {lineno}: "
+                                         f"label '{label}' is not one of 0, 1, 2")
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -33,7 +33,7 @@ def small_dataset(labels, features=None):
 
 class TestLabeledDataset:
     @pytest.mark.parametrize("labels", [[1.7, 2.9], [float("nan"), 1.0], [float("inf"), 0.0],
-                                        [1e300, 0.0], [-1.0, 0.0]])
+                                        [1e300, 0.0], [-1.0, 0.0], np.array(["a", "b"])])
     def test_labels_not_in_the_classes_rejected(self, labels):
         # a cast to int64 would truncate 1.7 to 1 and warn on nan, inf or 1e300
         with warnings.catch_warnings():

@@ -475,6 +475,9 @@ _NONFINITE = {"features_nan_evaluate": ("nan", "evaluate"),
               "features_inf_rank": ("inf", "rank"),
               "features_neg_inf_evaluate": ("-inf", "evaluate"),
               "features_overflow_rank": ("1e999", "rank")}
+_BAD_LABEL = {"manifest_label_7": ("extract", "7"),
+              "features_label_7": ("evaluate", "7"),
+              "features_label_1.0": ("evaluate", "1.0")}
 
 
 def _bad_input_case(case, tmp_path):
@@ -540,6 +543,17 @@ def _bad_input_case(case, tmp_path):
         table.write_text("a,b,label\n1.0,2.0,0\n3.0,4.0,1\n")
         return ["plotdata", "--features", table, "--feature", "rms",
                 "--out", tmp_path / "p.csv"], table
+    if case in _BAD_LABEL:
+        # a label other than exactly 0, 1 or 2, on line 3 of the file
+        command, label = _BAD_LABEL[case]
+        bad = tmp_path / "labels.csv"
+        if command == "extract":
+            bad.write_text(f"path,label\na.wav,1\nb.wav,{label}\n")
+            return ["extract", "--manifest", bad, "--out", tmp_path / "o.csv"], bad
+        lines = features.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
+        bad.write_text("\n".join(lines) + "\n")
+        return [*evaluate, "--features", bad], bad
     if case == "out_dir_missing_rank":
         return ["rank", "--features", features, "--out", out_in_missing_dir], out_in_missing_dir
     if case == "out_dir_missing_evaluate":
@@ -557,7 +571,7 @@ def _bad_input_case(case, tmp_path):
     "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
     "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
     "out_dir_missing_plotdata", "out_dir_is_a_file_synth", "features_repeated_column_rank",
-    *_NONFINITE, "features_unnamed_column_rank", "plotdata_feature_not_in_file",
+    *_NONFINITE, "features_unnamed_column_rank", "plotdata_feature_not_in_file", *_BAD_LABEL,
 ])
 def test_bad_input_file_exit_2(tmp_path, capsys, case):
     argv, path = _bad_input_case(case, tmp_path)
@@ -570,6 +584,8 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
     assert err.count("\n") == 1 and [str(w.message) for w in caught] == []
     if case in _NONFINITE:
         assert "line 5:" in err and "not a finite number" in err
+    if case in _BAD_LABEL:
+        assert err.endswith(f"line 3: label '{_BAD_LABEL[case][1]}' is not one of 0, 1, 2\n")
     if case == "features_repeated_column_rank":
         assert "more than one column named 'a'" in err
     if case == "features_unnamed_column_rank":
@@ -770,7 +786,7 @@ def test_config_range_is_pinned(tmp_path, capsys, name, kind, interval, nullable
         assert verdict(None) == f"error: config {name} must be {annotation}, got None\n"
 
 
-@pytest.mark.parametrize("command,n_flags", [("extract", 7), ("rank", 1), ("evaluate", 15)])
+@pytest.mark.parametrize("command,n_flags", [("extract", 6), ("rank", 1), ("evaluate", 15)])
 def test_help_shows_each_config_flag_range(capsys, command, n_flags):
     assert run(command, "--help") == 0
     text = " ".join(capsys.readouterr().out.split())
