@@ -138,7 +138,7 @@ def save_wav(signal: AudioSignal, path: str) -> None:
 def read_table(path: str, what: str, error: type[VoicePDError], header_required: bool):
     """(header, rows) of a manifest or feature CSV, decoded whole before any row is split.
 
-    The header is the first non-blank line's fields when the last, stripped, is `label`,
+    The header is the first non-blank line's stripped fields when the last is `label`,
     else None.  `rows` yields (line number, fields) of each other non-blank line.  A file
     that cannot be read or decoded, or lacks a required header, raises `error` naming `what`.
     """
@@ -149,8 +149,8 @@ def read_table(path: str, what: str, error: type[VoicePDError], header_required:
         raise error(f"cannot read {what} {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path!r} is not UTF-8 text: {exc}") from None
-    first = lines[0][1].split(",") if lines else [""]
-    header = first if first[-1].strip() == "label" else None
+    first = [name.strip() for name in lines[0][1].split(",")] if lines else [""]
+    header = first if first[-1] == "label" else None
     if header is None and header_required:
         raise error(f"{what} {path!r} must end with a `label` column" if lines
                     else f"empty {what}: {path!r}")

@@ -112,7 +112,7 @@ def save_feature_csv(path: str, dataset: LabeledDataset) -> None:
 def load_feature_csv(path: str) -> LabeledDataset:
     header, table = read_table(path, "feature CSV", DataError, header_required=True)
     names = header[:-1]
-    unnamed = next((j for j, n in enumerate(names) if not n.strip()), None)
+    unnamed = next((j for j, n in enumerate(names) if not n), None)
     if unnamed is not None:
         raise DataError(f"feature CSV {path!r} has no name for column {unnamed + 1}")
     repeated = next((n for i, n in enumerate(header) if n in header[:i]), None)

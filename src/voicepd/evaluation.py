@@ -98,11 +98,9 @@ def metrics(cm: ConfusionMatrix, model_id: str = "", fold_id: str = "") -> Metri
 
 
 def evaluate(model: TrainedModel, dataset: LabeledDataset) -> ConfusionMatrix:
-    predicted = model.predict(dataset.features)
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for actual, pred in zip(dataset.labels, predicted):
-        counts[int(actual), int(pred)] += 1
-    return ConfusionMatrix(counts)
+    cells = N_CLASSES * dataset.labels + model.predict(dataset.features)
+    return ConfusionMatrix(np.bincount(cells, minlength=N_CLASSES * N_CLASSES)
+                           .reshape(N_CLASSES, N_CLASSES))
 
 
 def _round_half_up(x: float) -> int:

@@ -206,61 +206,49 @@ def power_spectrum(signal: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
+def spectral_stats(signal: AudioSignal) -> dict[str, float]:
+    """The three spectral features below, keyed as in `FEATURE_NAMES`, from one Welch PSD."""
+    freqs, psd = power_spectrum(signal)
+    total = float(np.sum(psd))
+    if total <= 0.0:
+        raise UndefinedFeatureError("mean_frequency, shannon_entropy and power_bandwidth_hz "
+                                    "undefined for zero-power signal")
+    p = psd / total
+    nz = p[p > 0.0]
+    k = int(np.argmax(psd))
+    level = psd[k] / 2.0
+    left, right = freqs[0], freqs[-1]
+    below = np.flatnonzero(psd[:k] < level)
+    if len(below):
+        i = below[-1] + 1
+        frac = (psd[i] - level) / (psd[i] - psd[i - 1])
+        left = freqs[i] - frac * (freqs[i] - freqs[i - 1])
+    below = np.flatnonzero(psd[k + 1:] < level)
+    if len(below):
+        i = k + below[0]
+        frac = (psd[i] - level) / (psd[i] - psd[i + 1])
+        right = freqs[i] + frac * (freqs[i + 1] - freqs[i])
+    return {
+        "mean_frequency": float(np.sum(freqs * psd) / total),
+        "shannon_entropy": float(-np.sum(nz * np.log2(nz))) / math.log2(len(psd)),
+        "power_bandwidth_hz": float(right - left),
+    }
+
+
 def mean_frequency(signal: AudioSignal) -> float:
     """Power-weighted spectral centroid in Hz."""
-    return _mean_frequency(*power_spectrum(signal))
+    return spectral_stats(signal)["mean_frequency"]
 
 
 def shannon_entropy(signal: AudioSignal) -> float:
     """Shannon entropy of the normalized PSD, scaled by log2(K) into [0, 1]."""
-    return _shannon_entropy(*power_spectrum(signal))
+    return spectral_stats(signal)["shannon_entropy"]
 
 
 def power_bandwidth(signal: AudioSignal) -> float:
     """3 dB bandwidth: width of the contiguous band around the spectral peak
     where the PSD stays >= peak/2, edges by linear interpolation."""
-    return _power_bandwidth(*power_spectrum(signal))
-
-
-def _mean_frequency(freqs: np.ndarray, psd: np.ndarray) -> float:
-    total = float(np.sum(psd))
-    if total <= 0.0:
-        raise UndefinedFeatureError("mean_frequency undefined for zero-power signal")
-    return float(np.sum(freqs * psd) / total)
-
-
-def _shannon_entropy(freqs: np.ndarray, psd: np.ndarray) -> float:
-    total = float(np.sum(psd))
-    if total <= 0.0:
-        raise UndefinedFeatureError("shannon_entropy undefined for zero-power signal")
-    p = psd / total
-    nz = p[p > 0.0]
-    h = float(-np.sum(nz * np.log2(nz)))
-    return h / math.log2(len(psd))
-
-
-def _power_bandwidth(freqs: np.ndarray, psd: np.ndarray) -> float:
-    total = float(np.sum(psd))
-    if total <= 0.0:
-        raise UndefinedFeatureError("power_bandwidth undefined for zero-power signal")
-    k = int(np.argmax(psd))
-    level = psd[k] / 2.0
-
-    left = freqs[0]
-    for i in range(k, 0, -1):
-        if psd[i - 1] < level:
-            frac = (psd[i] - level) / (psd[i] - psd[i - 1])
-            left = freqs[i] - frac * (freqs[i] - freqs[i - 1])
-            break
-
-    right = freqs[-1]
-    for i in range(k, len(psd) - 1):
-        if psd[i + 1] < level:
-            frac = (psd[i] - level) / (psd[i] - psd[i + 1])
-            right = freqs[i] + frac * (freqs[i + 1] - freqs[i])
-            break
-
-    return float(right - left)
+    return spectral_stats(signal)["power_bandwidth_hz"]
 
 
 # --- the full row ----------------------------------------------------------
@@ -275,16 +263,13 @@ def extract_all(signal: AudioSignal, track: PitchTrack, pitch: PitchConfig = Pit
     """
     energy = mean_energy(signal, pitch)  # first: it rejects a recording shorter than one frame
     values = descriptive_stats(signal)
-    spectrum = power_spectrum(signal)
+    values.update(spectral_stats(signal))
     values.update(
-        mean_frequency=_mean_frequency(*spectrum),
         shimmer_db=shimmer(track),
         log_entropy=log_entropy(signal),
-        power_bandwidth_hz=_power_bandwidth(*spectrum),
         jitter_pct=jitter(track),
         mean_energy=energy,
         rms=rms(signal),
-        shannon_entropy=_shannon_entropy(*spectrum),
         zcr=zcr(signal),
         sure_entropy=sure_entropy(signal, sure_threshold),
     )

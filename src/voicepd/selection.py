@@ -57,14 +57,14 @@ def chi2_scores(dataset: LabeledDataset, bins: int = DEFAULT_BINS) -> list[Featu
     if bins < 2:
         raise DataError(f"bins must be >= 2, got {bins}")
     classes = label_classes(dataset.labels)
+    n_classes = len(classes)
+    # each row's column in the (bins, classes) table: its label's rank among the classes
+    column = np.searchsorted(classes, dataset.labels)
     stats = []
     for j in range(dataset.n_features):
         binned = _bin_column(dataset.features[:, j], bins, dataset.feature_names[j])
-        table = np.zeros((bins, len(classes)))
-        for ci, c in enumerate(classes):
-            counts = np.bincount(binned[dataset.labels == c], minlength=bins)
-            table[:, ci] = counts
-        stats.append(chi2_statistic(table))
+        table = np.bincount(binned * n_classes + column, minlength=bins * n_classes)
+        stats.append(chi2_statistic(table.reshape(bins, n_classes)))
     order = sorted(range(dataset.n_features), key=lambda j: (-stats[j], j))
     scores = [None] * dataset.n_features
     for rank0, j in enumerate(order):
@@ -83,7 +83,5 @@ def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise DataError(f"k must be in [1, {n}], got {k}")
     mask = np.zeros(n, dtype=bool)
-    for s in scores:
-        if s.rank <= k:
-            mask[s.feature_index] = True
+    mask[[s.feature_index for s in scores if s.rank <= k]] = True
     return mask

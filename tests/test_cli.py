@@ -320,6 +320,27 @@ class TestPlotdataCommand:
         assert "sparkle" in err and "kurtosis" in err
 
 
+def _spaced_header_table(tmp_path):
+    """A feature CSV whose header has spaces around a name, as values and labels may."""
+    path = tmp_path / "spaced.csv"
+    path.write_text("a, b ,label\n1.0,2.0,0\n3.0,4.0,1\n1.5,9.0,2\n")
+    return path
+
+
+def test_rank_strips_the_header_names(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run("rank", "--features", _spaced_header_table(tmp_path), "--out", out) == 0
+    names = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert sorted(names) == ["a", "b"]
+
+
+def test_plotdata_finds_a_feature_whose_header_name_has_spaces(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run("plotdata", "--features", _spaced_header_table(tmp_path), "--feature", "b",
+               "--out", out) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0,2.0", "1,1,4.0", "2,2,9.0"]
+
+
 class TestRunConfig:
     def test_roundtrip_through_file(self, tmp_path):
         cfg = RunConfig(seed=9, bins=7, top_k=4, nn_hidden=32, f0_min=70.0)
@@ -533,6 +554,11 @@ def _bad_input_case(case, tmp_path):
         bad = tmp_path / "repeated.csv"
         bad.write_text("a,a,label\n1.0,2.0,0\n3.0,4.0,1\n")
         return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
+    if case == "features_repeated_spaced_column_rank":
+        # the same name once the spaces around it are stripped
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("a, a,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        return ["rank", "--features", bad, "--out", tmp_path / "r.csv"], bad
     if case == "features_unnamed_column_rank":
         bad = tmp_path / "unnamed.csv"
         bad.write_text("a,,label\n1.0,2.0,0\n3.0,4.0,1\n")
@@ -571,6 +597,7 @@ def _bad_input_case(case, tmp_path):
     "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
     "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
     "out_dir_missing_plotdata", "out_dir_is_a_file_synth", "features_repeated_column_rank",
+    "features_repeated_spaced_column_rank",
     *_NONFINITE, "features_unnamed_column_rank", "plotdata_feature_not_in_file", *_BAD_LABEL,
 ])
 def test_bad_input_file_exit_2(tmp_path, capsys, case):
@@ -586,7 +613,7 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
         assert "line 5:" in err and "not a finite number" in err
     if case in _BAD_LABEL:
         assert err.endswith(f"line 3: label '{_BAD_LABEL[case][1]}' is not one of 0, 1, 2\n")
-    if case == "features_repeated_column_rank":
+    if case in ("features_repeated_column_rank", "features_repeated_spaced_column_rank"):
         assert "more than one column named 'a'" in err
     if case == "features_unnamed_column_rank":
         assert "no name for column 2" in err

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from voicepd import features as F
 from voicepd.audio_io import AudioSignal, peak_normalize
+from voicepd.errors import UndefinedFeatureError
 from voicepd.pitch import _BLOCK_FRAMES, PitchTrack
 
 N_SIGNALS = 100
@@ -355,3 +356,127 @@ def test_order_statistics_leave_the_samples_alone():
     before = x.copy()
     F.descriptive_stats(AudioSignal(samples=x, sample_rate=FS))
     np.testing.assert_array_equal(x, before)
+
+
+# --- the three spectral helpers spectral_stats replaced --------------------
+#
+# Each helper took the PSD and made its own zero-power check; the bandwidth
+# found its band edges with two scan loops.  spectral_stats does one check and
+# finds the edges with np.flatnonzero, and every value must match these bit
+# for bit.
+
+def previous_mean_frequency(freqs, psd):
+    total = float(np.sum(psd))
+    return float(np.sum(freqs * psd) / total)
+
+
+def previous_shannon_entropy(freqs, psd):
+    total = float(np.sum(psd))
+    p = psd / total
+    nz = p[p > 0.0]
+    h = float(-np.sum(nz * np.log2(nz)))
+    return h / math.log2(len(psd))
+
+
+def previous_power_bandwidth(freqs, psd):
+    k = int(np.argmax(psd))
+    level = psd[k] / 2.0
+    left = freqs[0]
+    for i in range(k, 0, -1):
+        if psd[i - 1] < level:
+            frac = (psd[i] - level) / (psd[i] - psd[i - 1])
+            left = freqs[i] - frac * (freqs[i] - freqs[i - 1])
+            break
+    right = freqs[-1]
+    for i in range(k, len(psd) - 1):
+        if psd[i + 1] < level:
+            frac = (psd[i] - level) / (psd[i] - psd[i + 1])
+            right = freqs[i] + frac * (freqs[i + 1] - freqs[i])
+            break
+    return float(right - left)
+
+
+def _assert_spectral_stats_bit_equal(sig):
+    freqs, psd = F.power_spectrum(sig)
+    got = F.spectral_stats(sig)
+    want = {
+        "mean_frequency": previous_mean_frequency(freqs, psd),
+        "shannon_entropy": previous_shannon_entropy(freqs, psd),
+        "power_bandwidth_hz": previous_power_bandwidth(freqs, psd),
+    }
+    assert list(got) == list(want)
+    for key in want:
+        assert _bits(got[key]) == _bits(want[key]), key
+    assert _bits(F.mean_frequency(sig)) == _bits(want["mean_frequency"])
+    assert _bits(F.shannon_entropy(sig)) == _bits(want["shannon_entropy"])
+    assert _bits(F.power_bandwidth(sig)) == _bits(want["power_bandwidth_hz"])
+
+
+def _spectral_cases():
+    t = np.arange(4096) / FS
+    impulse = np.zeros(1024)
+    impulse[512] = 1.0  # where the Hann window is 1: |X_k| = 1 in every bin
+    cases = {name: x for name, x in _replaced_cases().items() if name != "silence"}
+    cases.update(
+        # peaks above bin 0, so the left edge is interpolated
+        sine_440=np.sin(2 * np.pi * 440 * t),
+        sine_plus_dc=0.5 + 0.5 * np.sin(2 * np.pi * 1000 * t),
+        # the peak at the last bin: no bin right of it
+        nyquist=np.cos(np.pi * np.arange(4096)),
+        # a flat spectrum whose DC and Nyquist bins, not doubled, sit exactly at the level
+        flat=impulse,
+    )
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_spectral_cases()))
+def test_spectral_stats_bit_equal_to_the_replaced_helpers(name):
+    x = _spectral_cases()[name]
+    for fs in (8000, 16000, 44100):
+        _assert_spectral_stats_bit_equal(AudioSignal(samples=x, sample_rate=fs))
+
+
+def test_spectral_stats_bit_equal_on_random_signals():
+    for sig in random_signals():
+        _assert_spectral_stats_bit_equal(sig)
+
+
+@pytest.mark.parametrize("psd, width", [([1, 1, 2, 1, 1], 40.0), ([4, 2, 2, 1], 20.0),
+                                        ([1, 2, 2, 4], 20.0), ([3, 3, 3], 20.0)])
+def test_bins_at_half_the_peak_stay_in_the_band(monkeypatch, psd, width):
+    """The band is where the PSD stays >= peak/2: a bin exactly at the level is
+    inside it, and an edge is interpolated only towards a bin below it."""
+    freqs, psd = np.arange(len(psd)) * 10.0, np.array(psd, dtype=np.float64)
+    monkeypatch.setattr(F, "power_spectrum", lambda signal: (freqs, psd))
+    got = F.spectral_stats(AudioSignal(samples=np.zeros(2), sample_rate=FS))
+    assert got["power_bandwidth_hz"] == width
+    assert _bits(got["power_bandwidth_hz"]) == _bits(previous_power_bandwidth(freqs, psd))
+
+
+def _edges(x):
+    """(peak bin, last bin, left edge interpolated, right edge interpolated)."""
+    _, psd = F.power_spectrum(AudioSignal(samples=x, sample_rate=FS))
+    k = int(np.argmax(psd))
+    level = psd[k] / 2.0
+    return k, len(psd) - 1, bool(np.any(psd[:k] < level)), bool(np.any(psd[k + 1:] < level))
+
+
+def test_spectral_cases_reach_every_edge_branch():
+    cases = _spectral_cases()
+    k, _, left, right = _edges(cases["sine_440"])
+    assert k > 0 and left and right
+    k, last, left, right = _edges(cases["nyquist"])
+    assert k == last and left and not right
+    _, _, left, right = _edges(cases["flat"])
+    assert not left and not right
+    k, _, left, right = _edges(cases["constant"])
+    assert k == 0 and not left and right
+
+
+def test_zero_power_is_one_reason_for_all_three():
+    sig = AudioSignal(samples=np.zeros(1000), sample_rate=FS)
+    reason = ("mean_frequency, shannon_entropy and power_bandwidth_hz "
+              "undefined for zero-power signal")
+    for feature in (F.spectral_stats, F.mean_frequency, F.shannon_entropy, F.power_bandwidth):
+        with pytest.raises(UndefinedFeatureError, match=f"^{reason}$"):
+            feature(sig)

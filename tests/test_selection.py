@@ -49,6 +49,18 @@ class TestChi2Scores:
         scores = chi2_scores(ds, bins=2)
         assert scores[0].chi2 == pytest.approx(20.0, abs=1e-9)
 
+    @pytest.mark.parametrize("present", [(0, 1, 2), (0, 2), (1, 2)])
+    def test_table_has_one_column_per_class_present(self, present):
+        rng = np.random.default_rng(len(present) + present[0])
+        labels = np.repeat(present, [7, 9, 11][:len(present)])
+        ds = make_dataset([rng.standard_normal(len(labels)) for _ in range(3)], labels)
+        for j, score in enumerate(chi2_scores(ds, bins=4)):
+            x = ds.features[:, j]
+            binned = np.clip(np.floor((x - x.min()) / (x.max() - x.min()) * 4), 0, 3)
+            table = [[np.count_nonzero((binned == b) & (labels == c)) for c in present]
+                     for b in range(4)]
+            assert score.chi2 == chi2_statistic(table)
+
     def test_ranks_are_permutation(self):
         rng = np.random.default_rng(2)
         labels = np.repeat([0, 1, 2], 15)
