@@ -45,6 +45,10 @@ FEATURE_NAMES = (
 _NPERSEG = 1024
 _OVERLAP = 0.5
 
+# samples per chunk of the centred powers in `descriptive_stats`: a chunk's
+# temporaries stay small whatever the recording's length
+_MOMENT_CHUNK = 8192
+
 # the threshold t of the SURE entropy
 DEFAULT_SURE_THRESHOLD = 0.2
 
@@ -105,44 +109,65 @@ def descriptive_stats(signal: AudioSignal) -> dict[str, float]:
 
     Variance uses the (n-1) divisor; skewness and kurtosis use population
     central moments (normal kurtosis ~ 3); quartiles by linear interpolation.
-    The moments share two signal-sized buffers and the order statistics one
-    copy of the samples, partitioned in place.
+    One signal-sized buffer serves all of them: it holds each power of the
+    centred samples in turn, then a copy of the samples, partitioned once at
+    every rank the median and the quartiles read.
     """
     x = signal.samples
     n = len(x)
     if n < 2:
         raise UndefinedFeatureError("descriptive stats need at least 2 samples")
     mean = float(np.mean(x))
-    centered = x - mean
-    c2 = centered * centered
-    # the one sum behind np.mean(c2) and np.var(x, ddof=1)
-    s2 = np.add.reduce(c2)
-    m2 = float(s2 / n)
+    buf = np.empty_like(x)
+    sums = []
+    for power in (2, 3, 4):
+        # c = x - mean a chunk at a time; each sum runs over the whole buffer,
+        # so numpy's pairwise order, and every bit, is that of one expression
+        for start in range(0, n, _MOMENT_CHUNK):
+            c = x[start:start + _MOMENT_CHUNK] - mean
+            part = np.multiply(c, c, out=buf[start:start + _MOMENT_CHUNK])
+            if power == 3:
+                part *= c
+            elif power == 4:
+                part *= part
+        sums.append(np.add.reduce(buf))
+    s2, s3, s4 = sums
+    m2 = float(s2 / n)  # np.mean(c2); s2 / (n - 1) is np.var(x, ddof=1)
     variance = float(s2 / (n - 1))
-    m3 = float(np.mean(np.multiply(c2, centered, out=centered)))
-    m4 = float(np.mean(np.multiply(c2, c2, out=c2)))
-    del centered, c2
     if m2 > 0.0:
-        skewness = m3 / m2 ** 1.5
-        kurtosis = m4 / m2 ** 2
+        skewness = float(s3 / n) / m2 ** 1.5
+        kurtosis = float(s4 / n) / m2 ** 2
     else:
         skewness = 0.0
         kurtosis = 0.0
-    # an order statistic does not depend on how the buffer was ordered before
-    buf = x.copy()
-    median = float(np.median(buf, overwrite_input=True))
-    q1, q3 = np.quantile(buf, [0.25, 0.75], overwrite_input=True)
+    # numpy's formulas: the median is the mean of the middle rank or the two
+    # middle ones; a linear quartile interpolates between ranks i and i + 1
+    # around its virtual index n q + (1 - q) - 1
+    lo, hi = (n - 1) // 2, n // 2
+    virtual = [n * q + (1 - q) - 1 for q in (0.25, 0.75)]
+    below = [math.floor(v) for v in virtual]
+    np.copyto(buf, x)
+    buf.partition(sorted({lo, hi, *below, *(i + 1 for i in below)}))
+    q1, q3 = (_lerp(buf[i], buf[i + 1], v - i) for i, v in zip(below, virtual))
     return {
         "maximum": float(np.max(x)),
         "minimum": float(np.min(x)),
         "amplitude_mean": mean,
-        "median": median,
+        "median": float(np.mean(buf[lo:hi + 1])),
         "variance": variance,
         "std_dev": math.sqrt(variance),
         "skewness": skewness,
         "kurtosis": kurtosis,
         "iqr": float(q3 - q1),
     }
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's linear interpolation between neighbouring order statistics,
+    taken from b's side for t >= 0.5."""
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 def log_entropy(signal: AudioSignal, eps: float = 1e-12) -> float:
@@ -208,6 +233,9 @@ def power_spectrum(signal: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_stats(signal: AudioSignal) -> dict[str, float]:
     """The three spectral features below, keyed as in `FEATURE_NAMES`, from one Welch PSD."""
+    if len(signal.samples) < 2:  # a one-bin PSD, whose entropy would divide by log2(1)
+        raise UndefinedFeatureError("mean_frequency, shannon_entropy and power_bandwidth_hz "
+                                    "need at least 2 samples")
     freqs, psd = power_spectrum(signal)
     total = float(np.sum(psd))
     if total <= 0.0:

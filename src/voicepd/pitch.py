@@ -55,8 +55,8 @@ class PitchTrack:
 
 # rows per rFFT batch, for the ACF frames here and the Welch segments in
 # `features`: enough to amortize the per-call cost, few enough that a
-# block's spectra stay near 1 MB at 48 kHz, far below a recording's size
-_BLOCK_FRAMES = 32
+# block's spectra stay near 0.5 MB at 48 kHz, far below a recording's size
+_BLOCK_FRAMES = 16
 
 
 def _normalized_acf(frames: np.ndarray, nfft: int, n_lags: int) -> np.ndarray:

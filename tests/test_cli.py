@@ -654,14 +654,16 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_rank_and_evaluate_load_no_numpy_ma(tmp_path):
-    """No command of `rank` or `evaluate` calls np.unique, np.isin or
-    np.median, whose first call imports numpy.ma: about 1.3 MB of memory
-    and 10-20 ms in every process."""
+    """No command of `extract`, `rank` or `evaluate` calls np.unique, np.isin,
+    np.median or np.quantile, whose first call imports numpy.ma: about 1.3 MB
+    of memory and 10-20 ms in every process."""
     from voicepd.data import save_feature_csv
     from voicepd.synth import gen_blobs
+    manifest = synth_dataset(str(tmp_path), per_class=1, duration=0.5)
     features = tmp_path / "f.csv"
     save_feature_csv(str(features), gen_blobs((12, 14, 15), separation=1.0, sigma=1.0, seed=5))
-    commands = [["rank", "--features", str(features), "--out", str(tmp_path / "r.csv")]]
+    commands = [["extract", "--manifest", manifest, "--out", str(tmp_path / "x.csv")],
+                ["rank", "--features", str(features), "--out", str(tmp_path / "r.csv")]]
     commands += [["evaluate", "--features", str(features), "--algorithm", algorithm,
                   "--top-k", "8", "--cv-k", "3", "--out", str(tmp_path / f"{algorithm}.json")]
                  for algorithm in ALGORITHMS]

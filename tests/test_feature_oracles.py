@@ -239,9 +239,10 @@ def test_window_bit_equal_to_scipy():
 # --- the whole-signal expressions the bounded working set replaced ---------
 #
 # descriptive_stats, zcr, log_entropy, sure_entropy and power_spectrum now
-# reuse buffers and block the PSD's rFFT so that no step holds more than two
-# signal-sized temporaries.  The expressions they replaced are kept here, and
-# every value must match them bit for bit.
+# reuse buffers and block the PSD's rFFT so that no step holds more than one
+# signal-sized temporary; descriptive_stats reads the median and quartiles
+# from one partition in place of np.median and np.quantile.  The expressions
+# they replaced are kept here, and every value must match them bit for bit.
 
 def previous_descriptive_stats(x):
     mean = float(np.mean(x))
@@ -324,6 +325,12 @@ def _replaced_cases():
         "one_full_segment": peak_normalize(rng.standard_normal(1024)),
         "many_blocks": peak_normalize(rng.standard_normal(44100)),
         "pulse_train": peak_normalize(np.sin(np.arange(30001) * 0.05) ** 15),
+        # every quartile fraction (0, .25, .5, .75) and both median parities,
+        # and lengths around the moment chunks of descriptive_stats
+        **{f"n{n}": peak_normalize(rng.standard_normal(n))
+           for n in (2, 3, 4, 5, 6, 7, 8, 9, 8191, 8192, 8193, 16385)},
+        "constant_over_chunks": np.full(8193, -0.25),
+        "quantized_ties": rng.integers(-3, 4, 10000) / 3.0,
     }
 
 
@@ -349,6 +356,12 @@ def test_replaced_expressions_bit_equal(name):
 def test_replaced_cases_cover_the_psd_blocks():
     segments = (44100 - 1024) // 512 + 1
     assert segments > 2 * _BLOCK_FRAMES and segments % _BLOCK_FRAMES != 0
+
+
+def test_replaced_cases_cover_the_moment_chunks():
+    lengths = {len(x) for x in _replaced_cases().values()}
+    chunk = F._MOMENT_CHUNK
+    assert {chunk - 1, chunk, chunk + 1, 2 * chunk + 1} <= lengths
 
 
 def test_order_statistics_leave_the_samples_alone():

@@ -191,6 +191,11 @@ class TestEntropies:
             vals.append(F.shannon_entropy(s))
         assert np.mean(vals) >= 0.9
 
+    def test_shannon_one_sample_rejected(self):
+        # one sample gives a one-bin PSD, whose entropy would divide by log2(1) = 0
+        with pytest.raises(UndefinedFeatureError, match="at least 2 samples"):
+            F.shannon_entropy(sig([0.5]))
+
     def test_log_entropy_unit_samples(self):
         assert F.log_entropy(sig([1.0, -1.0, 1.0])) == pytest.approx(0.0, abs=1e-9)
 

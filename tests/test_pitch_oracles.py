@@ -183,8 +183,8 @@ CASES = {
                 PitchConfig()),
     "shorter_than_frame": (lambda: pulse(16000, duration=0.03), PitchConfig()),
     # frame count: exactly one block, one more than a block, and a ragged tail
-    "one_block": (lambda: pulse(16000, duration=0.35, seed=12), PitchConfig()),
-    "block_plus_one": (lambda: pulse(16000, duration=0.36, seed=13), PitchConfig()),
+    "one_block": (lambda: pulse(16000, duration=0.19, seed=12), PitchConfig()),
+    "block_plus_one": (lambda: pulse(16000, duration=0.2, seed=13), PitchConfig()),
     "ragged_tail": (lambda: pulse(44100, duration=0.75, seed=14), PitchConfig()),
     # lag_max == frame_len - 1: the last lag is compared against -inf
     "lag_at_frame_edge": (lambda: pulse(8000, f0=26.0, jitter=0.0, shimmer=0.0, seed=15),
