@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AudioDecodeError, ConfigError, ManifestError, VoicePDError
+from .errors import AudioDecodeError, ConfigError, DataError, ManifestError, VoicePDError
 
 log = logging.getLogger(__name__)
 
@@ -125,10 +125,14 @@ def load_wav(path: str) -> AudioSignal:
 
 
 def save_wav(signal: AudioSignal, path: str) -> None:
-    """Write a signal as 16-bit PCM mono WAV."""
+    """Write a signal as 16-bit PCM mono WAV; a path that cannot be created is a DataError."""
     clipped = np.clip(signal.samples, -1.0, 1.0)
     ints = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(path, "wb") as wf:
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise DataError(f"cannot write {path!r}: {exc.strerror}") from None
+    with fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(signal.sample_rate)

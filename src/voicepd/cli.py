@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, VoicePDError
 from .features import DEFAULT_SURE_THRESHOLD, FEATURE_NAMES, extract_all
 from .pitch import PitchConfig, analyze_pitch
 from .selection import DEFAULT_BINS, chi2_scores
-from .synth import SynthSpec, gen_signal
+from .synth import KINDS, SynthSpec, gen_signal
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,12 +145,13 @@ def _add_config_flags(p: argparse.ArgumentParser, names: list[str]) -> None:
                        help=f"{f.metadata['kind'].__name__} {_range_text(f)} (default: {default})")
 
 
-def _merge_config(args: argparse.Namespace, fields: list[str]) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    for name in fields:
-        value = getattr(args, name, None)
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file, or the defaults, overridden by each RunConfig flag given."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    for f in dataclasses.fields(cfg):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -162,7 +163,7 @@ _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
 
 
 def cmd_extract(args) -> int:
-    cfg = _merge_config(args, _EXTRACT_FIELDS)
+    cfg = _merge_config(args)
     pitch = cfg.pitch_config()
     entries = audio_io.load_manifest(args.manifest)
     sidecar = args.out + ".rejects.csv"
@@ -196,7 +197,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    cfg = _merge_config(args, ["bins"])
+    cfg = _merge_config(args)
     dataset = load_feature_csv(args.features)
     scores = chi2_scores(dataset, bins=cfg.bins)
     ranked = sorted(scores, key=lambda s: s.rank)
@@ -209,7 +210,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _merge_config(args, _EVAL_FIELDS)
+    cfg = _merge_config(args)
     dataset = load_feature_csv(args.features)
     report = evaluation.run_experiment(
         dataset, args.algorithm, seed=cfg.seed,
@@ -242,9 +243,10 @@ def cmd_synth(args) -> int:
     )
     wav_path = os.path.join(args.out_dir, name + ".wav")
     json_path = os.path.join(args.out_dir, name + ".json")
-    audio_io.save_wav(signal, wav_path)
+    # open the JSON before writing the WAV, so an unwritable JSON path leaves no WAV
     with open_output(json_path) as fh:
-        fh.write(truth.to_json() + "\n")
+        audio_io.save_wav(signal, wav_path)
+        fh.write(json.dumps(dataclasses.asdict(truth), sort_keys=True) + "\n")
     print(f"wrote {wav_path} and {json_path}")
     return EXIT_OK
 
@@ -288,8 +290,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic WAV plus ground-truth JSON")
-    p.add_argument("--kind", required=True,
-                   choices=["pulse", "pulse_train", "sine", "noise", "white_noise", "silence"])
+    p.add_argument("--kind", required=True, choices=[*KINDS, *_KIND_ALIASES])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--f0", type=float, default=SynthSpec.f0)
     p.add_argument("--duration", type=float, default=SynthSpec.duration_s)

@@ -9,9 +9,8 @@ to the programmed value in closed form.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,20 +65,9 @@ class SynthSpec:
 @dataclass
 class GroundTruth:
     spec: SynthSpec
-    onset_samples: list[int]
-    cycle_periods_s: list[float]
-    cycle_peaks: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": asdict(self.spec),
-            "onset_samples": self.onset_samples,
-            "cycle_periods_s": self.cycle_periods_s,
-            "cycle_peaks": self.cycle_peaks,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    onset_samples: list[int] = field(default_factory=list)
+    cycle_periods_s: list[float] = field(default_factory=list)
+    cycle_peaks: list[float] = field(default_factory=list)
 
 
 def _gen_pulse_train(spec: SynthSpec) -> tuple[np.ndarray, GroundTruth]:
@@ -134,14 +122,14 @@ def gen_signal(spec: SynthSpec) -> tuple[AudioSignal, GroundTruth]:
         t = np.arange(n) / fs
         x = np.sin(2.0 * np.pi * spec.f0 * t)
         x = peak_normalize(x)
-        truth = GroundTruth(spec=spec, onset_samples=[], cycle_periods_s=[], cycle_peaks=[])
+        truth = GroundTruth(spec)
     elif spec.kind == "white_noise":
         rng = np.random.default_rng(spec.seed)
         x = peak_normalize(rng.standard_normal(n))
-        truth = GroundTruth(spec=spec, onset_samples=[], cycle_periods_s=[], cycle_peaks=[])
+        truth = GroundTruth(spec)
     else:  # silence
         x = np.zeros(n)
-        truth = GroundTruth(spec=spec, onset_samples=[], cycle_periods_s=[], cycle_peaks=[])
+        truth = GroundTruth(spec)
     signal = AudioSignal(samples=x, sample_rate=fs, source_path=f"<synth:{spec.kind}>")
     return signal, truth
 

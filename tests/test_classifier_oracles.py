@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from voicepd.classifiers import (
+    ALGORITHMS,
     DecisionTree,
     KNearestNeighbors,
     LinearSVM,
@@ -676,7 +677,7 @@ class TestBatchIndependence:
 
 
 class TestRunExperimentOracle:
-    @pytest.mark.parametrize("algorithm", ["knn", "tree", "nb", "svm", "nn"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_report_byte_identical(self, algorithm):
         ds = gen_blobs((14, 17, 19), separation=1.5, seed=8)
         ds = LabeledDataset(ds.features[:, :6], ds.labels, list(ds.feature_names[:6]))

@@ -90,6 +90,18 @@ class TestSynthCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("blocked", ["x.wav", "x.json"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, blocked):
+        """An output path that is a directory is a data error naming it, and the
+        failed run writes no WAV."""
+        (tmp_path / blocked).mkdir()
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.1,
+                   "--name", "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(tmp_path / blocked)!r}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.wav").is_file()
+
 
 class TestExtractCommand:
     def test_end_to_end(self, tmp_path):
@@ -651,6 +663,19 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_audio_io_import_loads_no_other_submodule():
+    """The package root imports no submodule, so a caller of the WAV reader
+    loads neither the classifiers nor the CLI."""
+    src = str(Path(voicepd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, voicepd.audio_io; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'voicepd'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "['voicepd', 'voicepd.audio_io', 'voicepd.errors']"
 
 
 def test_rank_and_evaluate_load_no_numpy_ma(tmp_path):

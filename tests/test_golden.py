@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voicepd.classifiers import ALGORITHMS
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "outputs.json"
 
@@ -46,6 +48,6 @@ def test_extract_rejects(observed, golden):
 
 
 @pytest.mark.parametrize("workload", ["evaluate-small", "evaluate-large"])
-@pytest.mark.parametrize("algorithm", ["knn", "tree", "nb", "svm", "nn"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_confusion_matrices(observed, golden, workload, algorithm):
     assert observed[workload][algorithm] == golden[workload][algorithm]

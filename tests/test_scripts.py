@@ -19,14 +19,6 @@ def run_script(name, *args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_blob_benchmark_prints_one_row_per_algorithm():
-    done = run_script("run_blob_benchmark.py", "--seed", 1)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0].split()[0] == "algorithm"
-    assert [line.split()[0] for line in lines[1:]] == ["knn", "tree", "nb", "svm", "nn"]
-
-
 def test_synth_experiment_writes_every_stage(tmp_path):
     done = run_script("run_synth_experiment.py", "--out-dir", tmp_path, "--per-class", 6,
                       "--algorithm", "nb")
