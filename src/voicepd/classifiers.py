@@ -217,82 +217,80 @@ class LinearSVM:
     def fit_many(models: list["LinearSVM"], Xs: list, ys: list) -> list["LinearSVM"]:
         """Fit models[i] on (Xs[i], ys[i]), every one-vs-rest machine in lockstep.
 
-        Machine ci of a model visits its rows in the order of per-epoch
-        permutations from default_rng(seed + ci) and takes step t with
-        eta = lr0 / (1 + lr0 * lam * t).  All machines take step t together;
-        past its last step a machine takes eta = 0, a step that leaves its w
-        and b as they are, so a model's W and b are those it gets when
-        trained alone.
+        Machine ci of a model draws one permutation of its n rows per epoch
+        from default_rng(seed + ci), and step i of epoch e takes row i of it
+        with eta = lr0 / (1 + lr0 * lam * t), t = e * n + i + 1.  Step i of
+        every machine's epoch is one lockstep step, and a machine with fewer
+        rows than the largest fit idles on the rest of the epoch with eta = 0,
+        a step that leaves its w and b as they are, so a model's W and b are
+        those it gets when trained alone.
         """
-        lam, lr0 = models[0].lam, models[0].lr0
-        if any((m.lam, m.lr0) != (lam, lr0) for m in models):
-            raise ValueError("SVMs trained together must share lam and lr0")
+        lam, lr0, epochs = models[0].lam, models[0].lr0, models[0].epochs
+        if any((m.lam, m.lr0, m.epochs) != (lam, lr0, epochs) for m in models):
+            raise ValueError("SVMs trained together must share lam, lr0 and epochs")
         Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
         if any(len(X) == 0 for X in Xs):
             raise DataError("cannot fit svm on an empty dataset")
-        machines = []  # (total steps, model index, class index, row count)
+        machines = []  # (model index, class index)
         for mi, (model, X, y) in enumerate(zip(models, Xs, ys)):
             model.classes_ = label_classes(y)
             model.W = np.zeros((len(model.classes_), X.shape[1]))
             model.b = np.zeros(len(model.classes_))
-            machines += [(model.epochs * len(X), mi, ci, len(X))
-                         for ci in range(len(model.classes_))]
-        totals = np.array([m[0] for m in machines])
-        n_steps = int(totals.max())
+            machines += [(mi, ci) for ci in range(len(model.classes_))]
+        owner = np.array([mi for mi, _ in machines])
+        n = np.array([len(Xs[mi]) for mi in owner])
+        n_max, d = int(n.max()), Xs[0].shape[1]
+        n_steps = epochs * n_max
         if not math.isfinite(lr0 * lam * float(n_steps)):
             raise DataError(f"svm_lambda {lam} is too large: lr0 * lambda * steps "
                             f"({lr0} * {lam} * {n_steps}) overflows float64")
-        n_max, d = max(len(X) for X in Xs), Xs[0].shape[1]
         X_pad = np.zeros((len(Xs), n_max, d))
         targets = np.zeros((len(machines), n_max))
         for mi, X in enumerate(Xs):
             X_pad[mi, : len(X)] = X
-        for k, (_, mi, ci, n) in enumerate(machines):
-            targets[k, :n] = np.where(np.asarray(ys[mi]) == models[mi].classes_[ci], 1.0, -1.0)
-        owner = np.array([m[1] for m in machines])
-        rngs = [np.random.default_rng(models[mi].seed + ci) for _, mi, ci, _ in machines]
-        pending = [np.empty(0, dtype=np.int64) for _ in machines]
+        for k, (mi, ci) in enumerate(machines):
+            targets[k, : n[k]] = np.where(np.asarray(ys[mi]) == models[mi].classes_[ci], 1.0, -1.0)
+        rngs = [np.random.default_rng(models[mi].seed + ci) for mi, ci in machines]
+        # (step, machine) row of each step of one epoch; an idle step takes
+        # row 0, where its eta of 0 makes the decay 1.0 and the update (0 * x, 0)
+        order = np.zeros((n_max, len(machines)), dtype=np.int64)
+        steps = np.arange(n_max)[:, None]
+        idle = steps >= n
         # each machine's w and b side by side, so one masked add updates both
         Wb = np.zeros((len(machines), d + 1))
         W, bias = Wb[:, :d], Wb[:, d]
         margin = np.zeros(len(machines))
         hit = np.zeros((len(machines), 1), dtype=bool)
         hit_row = hit[:, 0]
-        # steps run in chunks of 128, so the schedule and the per-step arrays
-        # stay O(machines x 128 x d) in memory whatever the row and epoch counts
+        # an epoch's steps run in chunks of 128, so the per-step arrays stay
+        # O(machines x 128 x d) in memory whatever the row count
         chunk = 128
         # per step of a chunk: the hinge update (gain * x, gain) of every
         # machine, and its decay (1 - eta * lam, ..., 1.0), which shrinks w
         # and leaves b as it is
         update = np.zeros((chunk, len(machines), d + 1))
         decay = np.ones((chunk, len(machines), d + 1))
-        for start in range(0, n_steps, chunk):
-            steps = np.arange(start, min(start + chunk, n_steps))[:, None]
-            schedule = np.zeros((len(steps), len(machines)), dtype=np.int64)
-            for k, (total, _, _, n) in enumerate(machines):
-                while len(pending[k]) < len(steps) and start + len(pending[k]) < total:
-                    pending[k] = np.concatenate([pending[k], rngs[k].permutation(n)])
-                take = pending[k][: len(steps)]
-                schedule[: len(take), k] = take
-                pending[k] = pending[k][len(take):]
-            # eta per (step, machine), 0 past the machine's last step, where
-            # its decay is then 1.0 and its update (0 * x, 0)
-            eta = np.where(steps < totals, lr0 / (1.0 + lr0 * lam * (steps + 1.0)), 0.0)
-            decay[: len(steps), :, :d] = (1.0 - eta * lam)[:, :, None]
-            x_steps = X_pad[owner, schedule]
-            t_steps = targets[np.arange(len(machines)), schedule]
-            gain = eta * t_steps
-            np.multiply(gain[:, :, None], x_steps, out=update[: len(steps), :, :d])
-            update[: len(steps), :, d] = gain
-            for x, t, upd, dec in zip(x_steps, t_steps, update, decay):
-                # vecdot takes each row's dot product in BLAS, as `x @ w` does
-                np.vecdot(x, W, out=margin)
-                margin += bias
-                margin *= t
-                np.less(margin, 1.0, out=hit_row)
-                Wb *= dec
-                np.add(Wb, upd, out=Wb, where=hit)
-        for k, (_, mi, ci, _) in enumerate(machines):
+        for epoch in range(epochs):
+            for k, rng in enumerate(rngs):
+                order[: n[k], k] = rng.permutation(n[k])
+            etas = np.where(idle, 0.0, lr0 / (1.0 + lr0 * lam * (epoch * n + steps + 1.0)))
+            for start in range(0, n_max, chunk):
+                eta, rows = etas[start:start + chunk], order[start:start + chunk]
+                decay[: len(eta), :, :d] = (1.0 - eta * lam)[:, :, None]
+                x_steps = X_pad[owner, rows]
+                t_steps = targets[np.arange(len(machines)), rows]
+                gain = eta * t_steps
+                np.multiply(gain[:, :, None], x_steps, out=update[: len(eta), :, :d])
+                update[: len(eta), :, d] = gain
+                for x, t, upd, dec in zip(x_steps, t_steps, update, decay):
+                    # vecdot takes each row's dot product in BLAS, as `x @ w` does
+                    np.vecdot(x, W, out=margin)
+                    margin += bias
+                    margin *= t
+                    np.less(margin, 1.0, out=hit_row)
+                    Wb *= dec
+                    np.add(Wb, upd, out=Wb, where=hit)
+        for k, (mi, ci) in enumerate(machines):
             models[mi].W[ci] = W[k]
             models[mi].b[ci] = bias[k]
         return models

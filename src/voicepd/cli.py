@@ -156,6 +156,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _check_outputs(*paths: str) -> None:
+    """Open each output path for appending, so a command finds an unwritable one
+    before it truncates any.  On a failure the files this check created are
+    removed again, and every path is as it was."""
+    created = []
+    try:
+        for path in paths:
+            new = not os.path.lexists(path)
+            open_output(path, "a").close()
+            if new:
+                created.append(path)
+    except DataError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 _EXTRACT_FIELDS = ["frame_ms", "hop_ms", "f0_min", "f0_max", "voicing_threshold",
                    "sure_threshold"]
 _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
@@ -167,10 +184,9 @@ def cmd_extract(args) -> int:
     pitch = cfg.pitch_config()
     entries = audio_io.load_manifest(args.manifest)
     sidecar = args.out + ".rejects.csv"
-    # create both outputs before the first recording is decoded, so an --out
+    # check both outputs before the first recording is decoded, so an --out
     # that cannot be written fails at once
-    for path in (args.out, sidecar):
-        open_output(path).close()
+    _check_outputs(args.out, sidecar)
     rows, labels, rejects = [], [], []
     for entry in entries:
         try:
@@ -243,9 +259,9 @@ def cmd_synth(args) -> int:
     )
     wav_path = os.path.join(args.out_dir, name + ".wav")
     json_path = os.path.join(args.out_dir, name + ".json")
-    # open the JSON before writing the WAV, so an unwritable JSON path leaves no WAV
+    _check_outputs(json_path, wav_path)
+    audio_io.save_wav(signal, wav_path)
     with open_output(json_path) as fh:
-        audio_io.save_wav(signal, wav_path)
         fh.write(json.dumps(dataclasses.asdict(truth), sort_keys=True) + "\n")
     print(f"wrote {wav_path} and {json_path}")
     return EXIT_OK

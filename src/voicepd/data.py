@@ -94,10 +94,11 @@ class Standardizer:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
 
-def open_output(path: str):
-    """Open a text file for writing; a path that cannot be created is a DataError."""
+def open_output(path: str, mode: str = "w"):
+    """Open a text file for writing ("w") or appending ("a"); a path that cannot
+    be created is a DataError."""
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, mode, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise DataError(f"cannot write {path!r}: {exc.strerror}") from None
 

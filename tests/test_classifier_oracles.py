@@ -614,6 +614,9 @@ def lockstep_cases():
         # evaluate-large: five 272-row folds with full batches of 8 and a
         # 340-row holdout fit whose last batch has 4 rows
         "evaluate_large": uneven_fits(sizes=(272,) * 5 + (340,), d=8, seed=6),
+        # an epoch of three 128-step chunks: the 70-row fit idles through the
+        # last two whole, and the 129-row fit's epoch ends one row past the first
+        "chunk_edges": uneven_fits(sizes=(300, 70, 129), seed=2),
     }
 
 

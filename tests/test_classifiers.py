@@ -8,6 +8,7 @@ from voicepd.classifiers import (
     ALGORITHMS,
     DecisionTree,
     KNearestNeighbors,
+    LinearSVM,
     NeuralNetwork,
     train,
 )
@@ -190,6 +191,18 @@ class TestNeuralNetworkLossPass:
             for model in models:
                 for name in ("W1", "b1", "W2", "b2"):
                     assert getattr(model, name).tobytes() == getattr(init, name).tobytes()
+
+
+class TestFitManySharedHyperparameters:
+    @pytest.mark.parametrize("family", [LinearSVM, NeuralNetwork])
+    def test_different_epochs_rejected(self, family):
+        """Fits trained together share one epoch schedule, so both lockstep
+        trainers refuse models whose epoch counts differ."""
+        rng = np.random.default_rng(4)
+        fits = [(rng.standard_normal((n, 3)), rng.integers(0, 3, size=n)) for n in (12, 9)]
+        models = [family(epochs=e, seed=1) for e in (3, 4)]
+        with pytest.raises(ValueError, match="trained together must share"):
+            family.fit_many(models, *zip(*fits))
 
 
 class TestDeterminismAndInvariance:

@@ -103,6 +103,21 @@ class TestSynthCommand:
         assert not (tmp_path / "x.wav").is_file()
 
 
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_unwritable_wav_leaves_json_as_it_was(self, tmp_path, existing):
+        """Both outputs are checked before either is written: a WAV path that
+        is a directory leaves an existing JSON whole and creates no new one."""
+        (tmp_path / "x.wav").mkdir()
+        if existing:
+            (tmp_path / "x.json").write_text('{"old": 1}\n')
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.1,
+                   "--name", "x") == 2
+        if existing:
+            assert (tmp_path / "x.json").read_text() == '{"old": 1}\n'
+        else:
+            assert not (tmp_path / "x.json").exists()
+
+
 class TestExtractCommand:
     def test_end_to_end(self, tmp_path):
         manifest = synth_dataset(str(tmp_path))
@@ -650,6 +665,19 @@ def test_extract_unwritable_out_decodes_nothing(tmp_path, capsys, monkeypatch):
     # the same manifest with a writable --out decodes its one recording
     assert run("extract", "--manifest", manifest, "--out", tmp_path / "f.csv") == 0
     assert calls == [str(tmp_path / "a.wav")]
+
+
+def test_extract_unwritable_sidecar_leaves_out_as_it_was(tmp_path, capsys):
+    """A rejects sidecar path that is a directory fails before --out is
+    truncated, so an existing feature CSV keeps its bytes."""
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"{tmp_path / 'a.wav'},1\n")
+    out = tmp_path / "f.csv"
+    out.write_text("a,b,label\n\n")
+    (tmp_path / "f.csv.rejects.csv").mkdir()
+    assert run("extract", "--manifest", manifest, "--out", out) == 2
+    assert str(tmp_path / "f.csv.rejects.csv") in capsys.readouterr().err
+    assert out.read_text() == "a,b,label\n\n"
 
 
 def test_cli_import_loads_no_scipy():
