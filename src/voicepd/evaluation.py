@@ -134,17 +134,13 @@ def stratified_split(dataset: LabeledDataset, test_fraction: float,
             counts[c] -= 1
         frac[c] += 1.0
     rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
+    test = np.zeros(n, dtype=bool)
     for c in classes:
         members = np.flatnonzero(dataset.labels == c)
         if counts[c] == 0 and len(members) * test_fraction >= 0.5:
             log.warning("class %d contributes no test samples", c)
-        perm = rng.permutation(len(members))
-        test_idx.extend(members[perm[: counts[c]]].tolist())
-    test = np.array(sorted(test_idx), dtype=np.int64)
-    train_mask = np.ones(n, dtype=bool)
-    train_mask[test] = False
-    return np.flatnonzero(train_mask), test
+        test[members[rng.permutation(len(members))[: counts[c]]]] = True
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def kfold(dataset: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -158,33 +154,21 @@ def kfold(dataset: LabeledDataset, k: int, seed: int) -> list[tuple[np.ndarray, 
     counts = {c: n for c, n in dataset.class_counts().items() if n > 0}
     if not counts:
         raise DataError("the dataset has no rows to split into folds")
-    smallest = min(counts.values())
+    smallest, c = min((n, c) for c, n in counts.items())
     if k > smallest:
-        raise DataError(
-            f"k={k} exceeds smallest class count {smallest}; use k <= {smallest}"
-        )
+        advice = f"use k <= {smallest}" if smallest >= 2 else "no fold count works"
+        raise DataError(f"k={k} exceeds the {smallest} row(s) of class {CLASS_NAMES[c]} "
+                        f"among the rows being split; {advice}")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(len(dataset), dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
     for c in sorted(counts):
+        quota = np.full(k, counts[c] // k)
+        quota[np.argsort(sizes, kind="stable")[:counts[c] % k]] += 1
         members = np.flatnonzero(dataset.labels == c)
-        perm = members[rng.permutation(len(members))]
-        base, extra = divmod(len(perm), k)
-        order = sorted(range(k), key=lambda f: (len(folds[f]), f))
-        quota = {f: base for f in range(k)}
-        for f in order[:extra]:
-            quota[f] += 1
-        pos = 0
-        for f in range(k):
-            folds[f].extend(perm[pos:pos + quota[f]].tolist())
-            pos += quota[f]
-    out = []
-    n = len(dataset)
-    for f in range(k):
-        test = np.array(sorted(folds[f]), dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        out.append((np.flatnonzero(mask), test))
-    return out
+        fold[members[rng.permutation(counts[c])]] = np.repeat(np.arange(k), quota)
+        sizes += quota
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 @dataclass
@@ -217,9 +201,7 @@ def _fold_splits(dataset: LabeledDataset, k: int, seed: int):
 
 
 def _cv_result(algorithm: str, fold_cms: list[ConfusionMatrix]) -> CVResult:
-    pooled = ConfusionMatrix()
-    for cm in fold_cms:
-        pooled = pooled.add(cm)
+    pooled = ConfusionMatrix(sum(cm.counts for cm in fold_cms))
     return CVResult(
         pooled=metrics(pooled, model_id=algorithm, fold_id="pooled"),
         pooled_cm=pooled,
@@ -248,7 +230,12 @@ def run_experiment(dataset: LabeledDataset, algorithm: str, seed: int,
     The k fold models and the final model are trained in one batch."""
     train_idx, test_idx = stratified_split(dataset, test_fraction, seed)
     train_ds = dataset.subset(train_idx)
-    splits = _fold_splits(train_ds, cv_k, seed) + [(train_ds, dataset.subset(test_idx))]
+    try:
+        folds = _fold_splits(train_ds, cv_k, seed)
+    except DataError as exc:
+        raise DataError(f"the CV folds split the {len(train_ds)} training rows left after "
+                        f"the holdout: {exc}") from None
+    splits = folds + [(train_ds, dataset.subset(test_idx))]
     cms = _fit_and_score(algorithm, splits, seed, hyperparams, bins, top_k)
     cv = _cv_result(algorithm, cms[:-1])
     holdout_cm = cms[-1]

@@ -80,22 +80,15 @@ def _gen_pulse_train(spec: SynthSpec) -> tuple[np.ndarray, GroundTruth]:
     amp_ratio = 10.0 ** (-spec.shimmer_db / 20.0)
     rng = np.random.default_rng(spec.seed)
 
-    onsets: list[int] = []
-    amps: list[float] = []
-    t = 0.0
-    i = 0
-    while True:
-        if spec.jitter_pct > 0:
-            period = base_period * (1.0 + rng.uniform(-half_width, half_width))
-        else:
-            period = base_period
-        onset = int(round(t))
-        if onset >= n:
-            break
-        onsets.append(onset)
-        amps.append(1.0 if i % 2 == 0 else amp_ratio)
-        t += period
-        i += 1
+    # enough periods that the last onset passes n even if every period is the shortest
+    count = int(n / (base_period * (1.0 - half_width))) + 2
+    if spec.jitter_pct > 0:
+        periods = base_period * (1.0 + rng.uniform(-half_width, half_width, count))
+    else:
+        periods = np.full(count, base_period)
+    t = np.round(np.concatenate(([0.0], np.cumsum(periods))))
+    onsets = t[t < n].astype(np.int64).tolist()
+    amps = [1.0 if i % 2 == 0 else amp_ratio for i in range(len(onsets))]
 
     x = np.zeros(n)
     tau = base_period / 4.0

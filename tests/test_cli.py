@@ -463,6 +463,25 @@ class TestRunConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    # the 15% holdout leaves 9/8/8 of a 10/10/10 table and 9/8/1 of a 10/10/1 one
+    @pytest.mark.parametrize("per_class,flags,message", [
+        (10, ["--algorithm", "svm", "--cv-k", 9],
+         "the CV folds split the 25 training rows left after the holdout: k=9 exceeds "
+         "the 8 row(s) of class 1 (Healthy) among the rows being split; use k <= 8"),
+        ((10, 10, 1), ["--algorithm", "nb", "--cv-k", 2],
+         "the CV folds split the 18 training rows left after the holdout: k=2 exceeds "
+         "the 1 row(s) of class 2 (Med On) among the rows being split; "
+         "no fold count works"),
+    ])
+    def test_cv_k_checked_against_training_rows(self, tmp_path, capsys, per_class, flags,
+                                                message):
+        from voicepd.data import save_feature_csv
+        from voicepd.synth import gen_blobs
+        features = tmp_path / "f.csv"
+        save_feature_csv(str(features), gen_blobs(per_class, seed=0))
+        assert run("evaluate", "--features", features, *flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flags,message", [
         (["--hop-ms", 0], "hop_ms must be > 0"),
         (["--frame-ms", -40], "frame_ms must be > 0"),

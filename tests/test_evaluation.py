@@ -1,12 +1,16 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voicepd.data import CLASS_NAMES, LabeledDataset
+from voicepd.data import CLASS_NAMES, LabeledDataset, label_classes
 from voicepd.errors import DataError
 from voicepd.evaluation import (
     ConfusionMatrix,
+    _round_half_up,
     cross_validate,
     evaluate,
     kfold,
@@ -17,9 +21,102 @@ from voicepd.evaluation import (
 from voicepd.synth import gen_blobs
 
 
+log = logging.getLogger(__name__)
+
+
 @pytest.fixture(scope="module")
 def blobs():
     return gen_blobs((22, 28, 30), seed=5)
+
+
+def oracle_stratified_split(dataset, test_fraction, seed):
+    """The earlier stratified_split: an index list per class draw, sorted."""
+    if not 0.0 < test_fraction < 1.0:
+        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    n = len(dataset)
+    if n == 0:
+        raise DataError("the dataset has no rows to split")
+    target = _round_half_up(n * test_fraction)
+    if not 0 < target < n:
+        side = "holdout" if target == 0 else "training"
+        raise DataError(f"test_fraction {test_fraction} of {n} rows leaves an empty {side} set")
+    classes = label_classes(dataset.labels).tolist()
+    exact = {c: np.count_nonzero(dataset.labels == c) * test_fraction for c in classes}
+    counts = {c: _round_half_up(exact[c]) for c in classes}
+    frac = {c: exact[c] - np.floor(exact[c]) for c in classes}
+    while sum(counts.values()) < target:
+        c = max(classes, key=lambda c: (frac[c], -c))
+        counts[c] += 1
+        frac[c] -= 1.0
+    while sum(counts.values()) > target:
+        c = min(classes, key=lambda c: (frac[c], c))
+        if counts[c] > 0:
+            counts[c] -= 1
+        frac[c] += 1.0
+    rng = np.random.default_rng(seed)
+    test_idx: list[int] = []
+    for c in classes:
+        members = np.flatnonzero(dataset.labels == c)
+        if counts[c] == 0 and len(members) * test_fraction >= 0.5:
+            log.warning("class %d contributes no test samples", c)
+        perm = rng.permutation(len(members))
+        test_idx.extend(members[perm[: counts[c]]].tolist())
+    test = np.array(sorted(test_idx), dtype=np.int64)
+    train_mask = np.ones(n, dtype=bool)
+    train_mask[test] = False
+    return np.flatnonzero(train_mask), test
+
+
+def oracle_kfold(dataset, k, seed):
+    """The earlier kfold: one index list per fold, filled class by class."""
+    if k < 2:
+        raise DataError(f"k must be >= 2, got {k}")
+    counts = {c: n for c, n in dataset.class_counts().items() if n > 0}
+    if not counts:
+        raise DataError("the dataset has no rows to split into folds")
+    smallest = min(counts.values())
+    if k > smallest:
+        raise DataError(
+            f"k={k} exceeds smallest class count {smallest}; use k <= {smallest}"
+        )
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for c in sorted(counts):
+        members = np.flatnonzero(dataset.labels == c)
+        perm = members[rng.permutation(len(members))]
+        base, extra = divmod(len(perm), k)
+        order = sorted(range(k), key=lambda f: (len(folds[f]), f))
+        quota = {f: base for f in range(k)}
+        for f in order[:extra]:
+            quota[f] += 1
+        pos = 0
+        for f in range(k):
+            folds[f].extend(perm[pos:pos + quota[f]].tolist())
+            pos += quota[f]
+    out = []
+    n = len(dataset)
+    for f in range(k):
+        test = np.array(sorted(folds[f]), dtype=np.int64)
+        mask = np.ones(n, dtype=bool)
+        mask[test] = False
+        out.append((np.flatnonzero(mask), test))
+    return out
+
+
+def sized_dataset(sizes, order_seed=0):
+    """A one-feature table with sizes[c] rows of class c, the rows shuffled."""
+    labels = np.repeat(np.arange(3), sizes)
+    labels = labels[np.random.default_rng(order_seed).permutation(len(labels))]
+    return LabeledDataset(features=np.arange(len(labels), dtype=float)[:, None],
+                          labels=labels, feature_names=["f"])
+
+
+def assert_same_index_pairs(got, want):
+    assert len(got) == len(want)
+    for pair, oracle_pair in zip(got, want):
+        for a, b in zip(pair, oracle_pair):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStratifiedSplit:
@@ -47,6 +144,32 @@ class TestStratifiedSplit:
         with pytest.raises(DataError):
             stratified_split(blobs, 0.0, seed=0)
 
+    # 25/25/22 at 0.1 rounds to 3+3+2 > 7 and runs the decrement loop;
+    # 12/12/12 at 0.2 rounds to 2+2+2 < 7 and runs the increment loop
+    @pytest.mark.parametrize("sizes,fraction", [
+        ((25, 25, 22), 0.1), ((12, 12, 12), 0.2), ((22, 28, 30), 0.15),
+        ((110, 140, 150), 0.15), ((10, 10, 1), 0.15), ((0, 9, 4), 0.3),
+        ((5, 0, 0), 0.5), ((1, 1, 1), 0.5), ((3, 7, 2), 0.9),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_matches_list_oracle(self, sizes, fraction, seed):
+        ds = sized_dataset(sizes, order_seed=seed)
+        assert_same_index_pairs(stratified_split(ds, fraction, seed),
+                                oracle_stratified_split(ds, fraction, seed))
+
+    @given(sizes=st.tuples(*[st.integers(0, 39)] * 3), fraction=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_list_oracle_any_table(self, sizes, fraction, seed):
+        ds = sized_dataset(sizes, order_seed=seed)
+        try:
+            want = oracle_stratified_split(ds, fraction, seed)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                stratified_split(ds, fraction, seed)
+            return
+        assert_same_index_pairs(stratified_split(ds, fraction, seed), want)
+
 
 class TestKfold:
     def test_folds_of_eight(self, blobs):
@@ -72,6 +195,27 @@ class TestKfold:
     def test_k_exceeds_smallest_class(self, blobs):
         with pytest.raises(DataError, match="smaller|use k"):
             kfold(blobs, 23, seed=0)
+
+    # a class with no rows, a class of exactly k rows, and k equal to the
+    # smallest class all come up across these sizes and every valid k
+    @pytest.mark.parametrize("sizes", [
+        (22, 28, 30), (0, 5, 7), (3, 3, 3), (4, 9, 6), (0, 0, 6),
+        (2, 17, 40), (25, 25, 22), (11, 0, 13),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_list_oracle(self, sizes, seed):
+        ds = sized_dataset(sizes, order_seed=seed)
+        for k in range(2, min(n for n in sizes if n > 0) + 1):
+            assert_same_index_pairs(kfold(ds, k, seed), oracle_kfold(ds, k, seed))
+
+    @given(sizes=st.tuples(*[st.integers(0, 39)] * 3).filter(
+               lambda s: min((n for n in s if n > 0), default=0) >= 2),
+           data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_list_oracle_any_table(self, sizes, data, seed):
+        k = data.draw(st.integers(2, min(n for n in sizes if n > 0)), label="k")
+        ds = sized_dataset(sizes, order_seed=seed)
+        assert_same_index_pairs(kfold(ds, k, seed), oracle_kfold(ds, k, seed))
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=15, deadline=None)
