@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AudioDecodeError, ConfigError, DataError, ManifestError, VoicePDError
+from .errors import AudioDecodeError, ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -139,33 +139,33 @@ def save_wav(signal: AudioSignal, path: str) -> None:
         wf.writeframes(ints.tobytes())
 
 
-def read_table(path: str, what: str, error: type[VoicePDError], header_required: bool):
+def read_table(path: str, what: str, header_required: bool):
     """(header, rows) of a manifest or feature CSV, decoded whole before any row is split.
 
     The header is the first non-blank line's stripped fields when the last is `label`,
     else None.  `rows` yields (line number, fields) of each other non-blank line.  A file
-    that cannot be read or decoded, or lacks a required header, raises `error` naming `what`.
+    that cannot be read or decoded, or lacks a required header, is a DataError naming `what`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(no, line.strip()) for no, line in enumerate(fh, start=1) if line.strip()]
     except OSError as exc:
-        raise error(f"cannot read {what} {path!r}: {exc.strerror}") from None
+        raise DataError(f"cannot read {what} {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"{what} {path!r} is not UTF-8 text: {exc}") from None
+        raise DataError(f"{what} {path!r} is not UTF-8 text: {exc}") from None
     first = [name.strip() for name in lines[0][1].split(",")] if lines else [""]
     header = first if first[-1] == "label" else None
     if header is None and header_required:
-        raise error(f"{what} {path!r} must end with a `label` column" if lines
-                    else f"empty {what}: {path!r}")
+        raise DataError(f"{what} {path!r} must end with a `label` column" if lines
+                        else f"empty {what}: {path!r}")
     return header, ((no, line.split(",")) for no, line in (lines[1:] if header else lines))
 
 
-def parse_label(text: str, path: str, lineno: int, error: type[VoicePDError]) -> int:
+def parse_label(text: str, path: str, lineno: int) -> int:
     """The class of a label field: exactly 0, 1 or 2 once stripped."""
     label = _LABELS.get(text.strip())
     if label is None:
-        raise error(f"{path!r} line {lineno}: label {text.strip()!r} is not one of 0, 1, 2")
+        raise DataError(f"{path!r} line {lineno}: label {text.strip()!r} is not one of 0, 1, 2")
     return label
 
 
@@ -173,12 +173,12 @@ def load_manifest(path: str) -> list[ManifestEntry]:
     """Read a `path,label` manifest; a first line such as `path,label` is a header."""
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    _, rows = read_table(path, "manifest", ManifestError, header_required=False)
+    _, rows = read_table(path, "manifest", header_required=False)
     for lineno, fields in rows:
         if len(fields) != 2:
-            raise ManifestError(f"{path!r} line {lineno}: expected `path,label`, "
-                                f"got {','.join(fields)!r}")
-        wav_path, label = fields[0].strip(), parse_label(fields[1], path, lineno, ManifestError)
+            raise DataError(f"{path!r} line {lineno}: expected `path,label`, "
+                            f"got {','.join(fields)!r}")
+        wav_path, label = fields[0].strip(), parse_label(fields[1], path, lineno)
         if wav_path in seen:
             log.warning("manifest %s line %d: duplicate path %r (kept)", path, lineno, wav_path)
         seen.add(wav_path)

@@ -93,7 +93,7 @@ class RunConfig:
             raise ConfigError(f"config file {path!r} must hold a JSON object")
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise VoicePDError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -158,19 +158,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _check_outputs(*paths: str) -> None:
     """Open each output path for appending, so a command finds an unwritable one
-    before it truncates any.  On a failure the files this check created are
-    removed again, and every path is as it was."""
-    created = []
-    try:
-        for path in paths:
-            new = not os.path.lexists(path)
-            open_output(path, "a").close()
-            if new:
-                created.append(path)
-    except DataError:
-        for path in created:
+    before it truncates any or starts its work.  A file the check creates is
+    removed again at once, so every path is left as it was found."""
+    for path in paths:
+        new = not os.path.lexists(path)
+        open_output(path, "a").close()
+        if new:
             os.remove(path)
-        raise
 
 
 _EXTRACT_FIELDS = ["frame_ms", "hop_ms", "f0_min", "f0_max", "voicing_threshold",
@@ -227,6 +221,8 @@ def cmd_rank(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _merge_config(args)
+    if args.out:
+        _check_outputs(args.out)
     dataset = load_feature_csv(args.features)
     report = evaluation.run_experiment(
         dataset, args.algorithm, seed=cfg.seed,
@@ -270,8 +266,8 @@ def cmd_synth(args) -> int:
 def cmd_plotdata(args) -> int:
     dataset = load_feature_csv(args.features)
     if args.feature not in dataset.feature_names:
-        raise VoicePDError(f"unknown feature {args.feature!r}; the columns of "
-                           f"{args.features!r} are: {', '.join(dataset.feature_names)}")
+        raise DataError(f"unknown feature {args.feature!r}; the columns of "
+                        f"{args.features!r} are: {', '.join(dataset.feature_names)}")
     j = dataset.feature_names.index(args.feature)
     with open_output(args.out) as fh:
         fh.write("class,recording,value\n")

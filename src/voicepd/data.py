@@ -111,7 +111,7 @@ def save_feature_csv(path: str, dataset: LabeledDataset) -> None:
 
 
 def load_feature_csv(path: str) -> LabeledDataset:
-    header, table = read_table(path, "feature CSV", DataError, header_required=True)
+    header, table = read_table(path, "feature CSV", header_required=True)
     names = header[:-1]
     unnamed = next((j for j, n in enumerate(names) if not n), None)
     if unnamed is not None:
@@ -127,7 +127,7 @@ def load_feature_csv(path: str) -> LabeledDataset:
             rows.append([float(v) for v in parts[:-1]])
         except ValueError as exc:
             raise DataError(f"{path!r} line {lineno}: {exc}") from None
-        labels.append(parse_label(parts[-1], path, lineno, DataError))
+        labels.append(parse_label(parts[-1], path, lineno))
         linenos.append(lineno)
     features = np.array(rows) if rows else np.empty((0, len(names)))
     bad = np.argwhere(~np.isfinite(features))

@@ -9,16 +9,12 @@ class AudioDecodeError(VoicePDError):
     """WAV file could not be decoded (missing, non-PCM, truncated, ...)."""
 
 
-class ManifestError(VoicePDError):
-    """Dataset manifest is malformed."""
-
-
 class UndefinedFeatureError(VoicePDError):
     """A feature is undefined for the given input (e.g. too few cycles)."""
 
 
 class DataError(VoicePDError):
-    """Input data violates a precondition (bad labels, empty dataset, ...)."""
+    """Input data violates a precondition (malformed table, bad labels, empty dataset, ...)."""
 
 
 class ConfigError(VoicePDError):

@@ -15,7 +15,7 @@ from voicepd.audio_io import (
     peak_normalize,
     save_wav,
 )
-from voicepd.errors import AudioDecodeError, ManifestError
+from voicepd.errors import AudioDecodeError, DataError
 
 
 def write_wav(path, ints, fs=8000, channels=1, sampwidth=2):
@@ -233,7 +233,7 @@ class TestManifest:
                                     ("file,class\na.wav,1\n", 1, "class"),
                                     ("x.wav,1\na.wav,+1\n", 2, "+1")]:
             path.write_text(text)
-            with pytest.raises(ManifestError) as caught:
+            with pytest.raises(DataError) as caught:
                 load_manifest(str(path))
             assert str(caught.value) == (f"{str(path)!r} line {lineno}: "
                                          f"label '{label}' is not one of 0, 1, 2")
@@ -241,7 +241,7 @@ class TestManifest:
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("x.wav,1\nbroken-line\n")
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_manifest(str(path))
 
     def test_header_skipped(self, tmp_path):

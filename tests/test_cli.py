@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import pytest
 import voicepd
 from voicepd.classifiers import ALGORITHMS, REGISTRY
 from voicepd.cli import RunConfig, build_parser, main
+from voicepd.errors import ConfigError, DataError
 from voicepd.features import FEATURE_NAMES
 
 EXPECTED_HEADER = ",".join(FEATURE_NAMES) + ",label"
@@ -341,10 +343,14 @@ class TestPlotdataCommand:
         from voicepd.synth import gen_blobs
         path = tmp_path / "f.csv"
         save_feature_csv(str(path), gen_blobs(2, seed=0))
-        assert run("plotdata", "--features", path, "--feature", "sparkle",
-                   "--out", tmp_path / "o.csv") == 2
+        argv = ["plotdata", "--features", str(path), "--feature", "sparkle",
+                "--out", str(tmp_path / "o.csv")]
+        assert run(*argv) == 2
         err = capsys.readouterr().err
         assert "sparkle" in err and "kurtosis" in err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(DataError, match="unknown feature 'sparkle'"):
+            args.func(args)
 
 
 def _spaced_header_table(tmp_path):
@@ -462,6 +468,9 @@ class TestRunConfig:
         assert message in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
+        if "unknown config keys" in message:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                RunConfig.from_file(str(cfg_path))
 
     # the 15% holdout leaves 9/8/8 of a 10/10/10 table and 9/8/1 of a 10/10/1 one
     @pytest.mark.parametrize("per_class,flags,message", [
@@ -684,6 +693,33 @@ def test_extract_unwritable_out_decodes_nothing(tmp_path, capsys, monkeypatch):
     # the same manifest with a writable --out decodes its one recording
     assert run("extract", "--manifest", manifest, "--out", tmp_path / "f.csv") == 0
     assert calls == [str(tmp_path / "a.wav")]
+
+
+def test_evaluate_unwritable_out_trains_nothing(tmp_path, capsys, monkeypatch):
+    """A bad --out fails before the feature CSV is read and any model is trained,
+    and the check leaves no report file behind when the run fails later."""
+    from voicepd import evaluation
+    from voicepd.data import save_feature_csv
+    from voicepd.synth import gen_blobs
+    features = tmp_path / "f.csv"
+    save_feature_csv(str(features), gen_blobs(10, seed=0))
+    calls = []
+    train_many = evaluation.train_many
+    monkeypatch.setattr(evaluation, "train_many",
+                        lambda *a, **kw: calls.append(a) or train_many(*a, **kw))
+    evaluate = ["evaluate", "--features", features, "--algorithm", "nb", "--cv-k", 3]
+    out = tmp_path / "no_such_dir" / "r.json"
+    assert run(*evaluate, "--out", out) == 2
+    assert str(out) in capsys.readouterr().err
+    assert calls == [] and not out.parent.exists()
+    # the same command with a writable --out trains once
+    assert run(*evaluate, "--out", tmp_path / "r.json") == 0
+    assert len(calls) == 1
+    # a writable --out of a run that fails after the check is not created
+    out = tmp_path / "failed.json"
+    assert run(*evaluate, "--cv-k", 50, "--out", out) == 2
+    assert "k=50" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_unwritable_sidecar_leaves_out_as_it_was(tmp_path, capsys):
