@@ -7,6 +7,7 @@ fitted Standardizer) and are deterministic given (data, hyperparams, seed).
 from __future__ import annotations
 
 import inspect
+import logging
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from .data import LabeledDataset, Standardizer, label_classes
 from .errors import DataError
+
+log = logging.getLogger(__name__)
 
 
 # --- k-nearest neighbors ---------------------------------------------------
@@ -30,8 +33,7 @@ class KNearestNeighbors:
             raise DataError("cannot fit knn on an empty dataset")
         self.k = min(self.n_neighbors, len(X))
         if self.k < self.n_neighbors:
-            import warnings
-            warnings.warn(f"knn k={self.n_neighbors} > n={len(X)}; clamping to n")
+            log.warning("knn k=%d > n=%d; clamping to n", self.n_neighbors, len(X))
         self.X = np.array(X)
         self.y = np.array(y)
         return self
@@ -178,19 +180,14 @@ class GaussianNaiveBayes:
         return self
 
     def _log_joint(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
-        out = np.zeros((len(X), len(self.classes_)))
-        for ci in range(len(self.classes_)):
-            # over a subnormal variance the squared distance can overflow to
-            # inf, which gives the right limit, a log-likelihood of -inf
-            with np.errstate(over="ignore"):
-                ll = -0.5 * np.sum(
-                    np.log(2.0 * np.pi * self.vars[ci])
-                    + (X - self.means[ci]) ** 2 / self.vars[ci],
-                    axis=1,
-                )
-            out[:, ci] = np.log(self.priors[ci]) + ll
-        return out
+        # (classes, rows, features) terms; over a subnormal variance the squared
+        # distance can overflow to inf, which gives the right limit, a
+        # log-likelihood of -inf
+        means, vars_ = self.means[:, None, :], self.vars[:, None, :]
+        with np.errstate(over="ignore"):
+            ll = -0.5 * np.sum(np.log(2.0 * np.pi * vars_) + (np.asarray(X) - means) ** 2 / vars_,
+                               axis=-1)
+        return (np.log(self.priors)[:, None] + ll).T
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self._log_joint(X), axis=1)]
@@ -201,10 +198,9 @@ class GaussianNaiveBayes:
 class LinearSVM:
     """Primal sub-gradient descent on hinge loss, one binary machine per class."""
 
-    def __init__(self, lam: float = 1e-3, epochs: int = 200, lr0: float = 1.0, seed: int = 0):
+    def __init__(self, lam: float = 1e-3, epochs: int = 200, seed: int = 0):
         self.lam = lam
         self.epochs = epochs
-        self.lr0 = lr0
         self.seed = seed
         self.W = None  # (n_classes, n_features)
         self.b = None
@@ -219,15 +215,15 @@ class LinearSVM:
 
         Machine ci of a model draws one permutation of its n rows per epoch
         from default_rng(seed + ci), and step i of epoch e takes row i of it
-        with eta = lr0 / (1 + lr0 * lam * t), t = e * n + i + 1.  Step i of
+        with eta = 1 / (1 + lam * t), t = e * n + i + 1.  Step i of
         every machine's epoch is one lockstep step, and a machine with fewer
         rows than the largest fit idles on the rest of the epoch with eta = 0,
         a step that leaves its w and b as they are, so a model's W and b are
         those it gets when trained alone.
         """
-        lam, lr0, epochs = models[0].lam, models[0].lr0, models[0].epochs
-        if any((m.lam, m.lr0, m.epochs) != (lam, lr0, epochs) for m in models):
-            raise ValueError("SVMs trained together must share lam, lr0 and epochs")
+        lam, epochs = models[0].lam, models[0].epochs
+        if any((m.lam, m.epochs) != (lam, epochs) for m in models):
+            raise ValueError("SVMs trained together must share lam and epochs")
         Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
         if any(len(X) == 0 for X in Xs):
             raise DataError("cannot fit svm on an empty dataset")
@@ -241,9 +237,9 @@ class LinearSVM:
         n = np.array([len(Xs[mi]) for mi in owner])
         n_max, d = int(n.max()), Xs[0].shape[1]
         n_steps = epochs * n_max
-        if not math.isfinite(lr0 * lam * float(n_steps)):
-            raise DataError(f"svm_lambda {lam} is too large: lr0 * lambda * steps "
-                            f"({lr0} * {lam} * {n_steps}) overflows float64")
+        if not math.isfinite(lam * float(n_steps)):
+            raise DataError(f"svm_lambda {lam} is too large: lambda * steps "
+                            f"({lam} * {n_steps}) overflows float64")
         X_pad = np.zeros((len(Xs), n_max, d))
         targets = np.zeros((len(machines), n_max))
         for mi, X in enumerate(Xs):
@@ -273,7 +269,7 @@ class LinearSVM:
         for epoch in range(epochs):
             for k, rng in enumerate(rngs):
                 order[: n[k], k] = rng.permutation(n[k])
-            etas = np.where(idle, 0.0, lr0 / (1.0 + lr0 * lam * (epoch * n + steps + 1.0)))
+            etas = np.where(idle, 0.0, 1.0 / (1.0 + lam * (epoch * n + steps + 1.0)))
             for start in range(0, n_max, chunk):
                 eta, rows = etas[start:start + chunk], order[start:start + chunk]
                 decay[: len(eta), :, :d] = (1.0 - eta * lam)[:, :, None]
@@ -332,16 +328,15 @@ class NeuralNetwork:
         self.batch_size = batch_size
         self.seed = seed
         self.W1 = self.b1 = self.W2 = self.b2 = None
-        self.n_classes = 3
 
     def init_params(self, n_features: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(self.seed)
         lim1 = np.sqrt(6.0 / (n_features + self.hidden))
-        lim2 = np.sqrt(6.0 / (self.hidden + self.n_classes))
+        lim2 = np.sqrt(6.0 / (self.hidden + 3))
         self.W1 = rng.uniform(-lim1, lim1, size=(n_features, self.hidden))
         self.b1 = np.zeros(self.hidden)
-        self.W2 = rng.uniform(-lim2, lim2, size=(self.hidden, self.n_classes))
-        self.b2 = np.zeros(self.n_classes)
+        self.W2 = rng.uniform(-lim2, lim2, size=(self.hidden, 3))
+        self.b2 = np.zeros(3)
 
     def loss_and_gradients(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy and analytic gradients on a batch."""
@@ -388,7 +383,6 @@ class NeuralNetwork:
         pad = n_max  # row index of an all-zero input with an all-zero target
         X_pad = np.zeros((M, n_max + 1, d))
         onehot = np.zeros((M, n_max + 1, 3))
-        labels = np.zeros((M, n_max), dtype=np.int64)
         # each network's W1, b1, W2, b2 are views into its row of P, and its
         # gradients views into the same places of G, so one step updates
         # every parameter with two calls
@@ -399,10 +393,8 @@ class NeuralNetwork:
                                                   for lo, hi, s in zip(bounds, bounds[1:], shapes))
         rngs = []
         for k, (net, X, y) in enumerate(zip(models, Xs, ys)):
-            y = np.asarray(y, dtype=np.int64)
             X_pad[k, : n[k]] = X
-            onehot[k, np.arange(n[k]), y] = 1.0
-            labels[k, : n[k]] = y
+            onehot[k, np.arange(n[k]), np.asarray(y, dtype=np.int64)] = 1.0
             rngs.append(np.random.default_rng(net.seed))
             net.init_params(d, rngs[-1])
             W1[k], b1[k], W2[k], b2[k] = net.W1, net.b1, net.W2, net.b2
@@ -473,7 +465,7 @@ class NeuralNetwork:
                     P -= G
             # each network's mean cross-entropy over its training rows
             _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
-            p_true = probs[rows, np.arange(n_max), labels]
+            p_true = (probs * onehot[:, :n_max]).sum(axis=-1)
             last = [float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))) for k in range(M)]
         for k, net in enumerate(models):
             if not (math.isfinite(last[k]) and np.isfinite(P[k]).all()):

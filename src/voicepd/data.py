@@ -113,6 +113,8 @@ def save_feature_csv(path: str, dataset: LabeledDataset) -> None:
 def load_feature_csv(path: str) -> LabeledDataset:
     header, table = read_table(path, "feature CSV", header_required=True)
     names = header[:-1]
+    if not names:
+        raise DataError(f"feature CSV {path!r} has no feature column")
     unnamed = next((j for j, n in enumerate(names) if not n), None)
     if unnamed is not None:
         raise DataError(f"feature CSV {path!r} has no name for column {unnamed + 1}")

@@ -38,9 +38,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def add(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
-
     def to_lists(self) -> list[list[int]]:
         return [[int(v) for v in row] for row in self.counts]
 
@@ -179,25 +176,22 @@ class CVResult:
     fold_cms: list[ConfusionMatrix]
 
 
-def _fit_and_score(algorithm: str, splits: list[tuple[LabeledDataset, LabeledDataset]],
-                   seed: int, hyperparams: dict | None, bins: int,
-                   top_k: int | None) -> list[ConfusionMatrix]:
-    """Confusion matrix of each (train, test) split: chi2 selection (when
-    top_k is below the feature count) and standardization are fitted on the
-    training rows only, and all the models are trained in one batch."""
+def _fit_and_score(algorithm: str, dataset: LabeledDataset,
+                   splits: list[tuple[np.ndarray, np.ndarray]], seed: int,
+                   hyperparams: dict | None, bins: int, top_k: int | None) -> list[ConfusionMatrix]:
+    """Confusion matrix of each (train_idx, test_idx) split of the dataset's
+    rows: chi2 selection (when top_k is below the feature count) and
+    standardization are fitted on the training rows only, and all the models
+    are trained in one batch."""
     selected = []
-    for train_ds, test_ds in splits:
-        if top_k is not None and top_k < train_ds.n_features:
+    for train_idx, test_idx in splits:
+        train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
+        if top_k is not None and top_k < dataset.n_features:
             mask = select_top_k(chi2_scores(train_ds, bins=bins), top_k)
             train_ds, test_ds = train_ds.select_features(mask), test_ds.select_features(mask)
         selected.append((train_ds, test_ds))
     models = train_many(algorithm, [train_ds for train_ds, _ in selected], hyperparams, seed=seed)
     return [evaluate(model, test_ds) for model, (_, test_ds) in zip(models, selected)]
-
-
-def _fold_splits(dataset: LabeledDataset, k: int, seed: int):
-    return [(dataset.subset(train_idx), dataset.subset(test_idx))
-            for train_idx, test_idx in kfold(dataset, k, seed)]
 
 
 def _cv_result(algorithm: str, fold_cms: list[ConfusionMatrix]) -> CVResult:
@@ -216,8 +210,9 @@ def cross_validate(algorithm: str, dataset: LabeledDataset, k: int, seed: int,
                    top_k: int | None = None) -> CVResult:
     """Stratified k-fold CV; chi2 selection and standardization are refitted
     inside each fold on its training rows only."""
-    splits = _fold_splits(dataset, k, seed)
-    return _cv_result(algorithm, _fit_and_score(algorithm, splits, seed, hyperparams, bins, top_k))
+    splits = kfold(dataset, k, seed)
+    return _cv_result(algorithm, _fit_and_score(algorithm, dataset, splits, seed, hyperparams,
+                                                 bins, top_k))
 
 
 def run_experiment(dataset: LabeledDataset, algorithm: str, seed: int,
@@ -229,14 +224,13 @@ def run_experiment(dataset: LabeledDataset, algorithm: str, seed: int,
 
     The k fold models and the final model are trained in one batch."""
     train_idx, test_idx = stratified_split(dataset, test_fraction, seed)
-    train_ds = dataset.subset(train_idx)
     try:
-        folds = _fold_splits(train_ds, cv_k, seed)
+        folds = kfold(dataset.subset(train_idx), cv_k, seed)
     except DataError as exc:
-        raise DataError(f"the CV folds split the {len(train_ds)} training rows left after "
+        raise DataError(f"the CV folds split the {len(train_idx)} training rows left after "
                         f"the holdout: {exc}") from None
-    splits = folds + [(train_ds, dataset.subset(test_idx))]
-    cms = _fit_and_score(algorithm, splits, seed, hyperparams, bins, top_k)
+    splits = [(train_idx[tr], train_idx[te]) for tr, te in folds] + [(train_idx, test_idx)]
+    cms = _fit_and_score(algorithm, dataset, splits, seed, hyperparams, bins, top_k)
     cv = _cv_result(algorithm, cms[:-1])
     holdout_cm = cms[-1]
     holdout = metrics(holdout_cm, model_id=algorithm, fold_id="holdout")

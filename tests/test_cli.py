@@ -676,6 +676,20 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
         assert err.endswith("are: a, b\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank"], ["plotdata", "--feature", "rms"],
+    *(["evaluate", "--algorithm", algorithm, "--cv-k", 3] for algorithm in ALGORITHMS),
+], ids=lambda argv: "_".join(str(a) for a in argv[:3:2]))
+def test_feature_csv_without_a_feature_column_exit_2(tmp_path, capsys, argv):
+    """A header of `label` alone gives nothing to rank, plot or train on."""
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n" + "0\n1\n2\n" * 10)
+    out = tmp_path / "out"
+    assert run(*argv, "--features", path, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: feature CSV {str(path)!r} has no feature column\n"
+    assert not out.exists()
+
+
 def test_extract_unwritable_out_decodes_nothing(tmp_path, capsys, monkeypatch):
     """A bad --out fails before the first recording is decoded."""
     from voicepd import audio_io
