@@ -306,13 +306,9 @@ def _forward(X, W1, b1, W2, b2):
     z1 = X @ W1 + b1[..., None, :]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ W2 + b2[..., None, :]
-    # max and sum over the three classes column by column, since a reduction
-    # over a length-3 axis runs one numpy inner loop per row; the max is
-    # exact, and (c0 + c1) + c2 is the order of numpy's sum
-    c0, c1, c2 = np.moveaxis(z2, -1, 0)
-    z2 -= np.maximum(np.maximum(c0, c1), c2)[..., None]
+    z2 -= z2.max(axis=-1, keepdims=True)
     np.exp(z2, out=z2)
-    z2 /= ((c0 + c1) + c2)[..., None]
+    z2 /= z2.sum(axis=-1, keepdims=True)
     return z1, a1, z2
 
 
@@ -420,6 +416,8 @@ class NeuralNetwork:
         # transposed, the output error's class columns and the stat as a column
         b1_rows, b2_rows, stat_col = b1[:, None, :], b2[:, None, :], stat[:, :, None]
         W2_t, hid_t = np.swapaxes(W2, -1, -2), np.swapaxes(hid, -1, -2)
+        # the step's softmax max goes column by column: cheaper than a max
+        # over the length-3 class axis, and as exact
         d2_0, d2_1, d2_2 = np.moveaxis(delta2, -1, 0)
         # a diverging fit overflows; it is reported once, after the loop
         with np.errstate(over="ignore", invalid="ignore"):
@@ -441,8 +439,7 @@ class NeuralNetwork:
                     np.maximum(stat, d2_2, out=stat)
                     delta2 -= stat_col
                     np.exp(delta2, out=delta2)
-                    np.add(d2_0, d2_1, out=stat)
-                    stat += d2_2
+                    np.add.reduce(delta2, axis=-1, out=stat)
                     delta2 /= stat_col
                     # output error over the real rows, divided by their count
                     if is_short:

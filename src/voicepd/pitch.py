@@ -177,6 +177,8 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
 
     # one period per frame, NaN where unvoiced
     periods = _median_smooth_runs(np.array([e.period_s for e in estimates], dtype=np.float64))
+    # each frame's period in samples, as Python floats for the per-cycle loop
+    steps = (periods * fs).tolist()
 
     all_periods: list[np.ndarray] = []
     all_peaks: list[np.ndarray] = []
@@ -184,19 +186,19 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
         # voiced run covers frames i..j-1
         start = i * hop
         end = min((j - 1) * hop + frame_len, n)
-        w_end = min(start + int(periods[i] * fs) + 1, end)
+        w_end = min(start + int(steps[i]) + 1, end)
         if w_end <= start:
             continue
-        anchor = start + int(np.argmax(x[start:w_end]))
+        anchor = start + int(x[start:w_end].argmax())
         anchors = [anchor]
         while True:
             fi = min(max(anchor // hop, i), j - 1)
-            p = periods[fi] * fs
+            p = steps[fi]
             lo = anchor + int(0.75 * p)
             hi = anchor + int(1.25 * p) + 1
             if hi > end:  # truncated search window: stop rather than grab a tail sample
                 break
-            anchor = lo + int(np.argmax(x[lo:hi]))
+            anchor = lo + int(x[lo:hi].argmax())
             anchors.append(anchor)
         first = anchors[0]
         bounds = np.array(anchors)

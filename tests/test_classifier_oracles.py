@@ -490,7 +490,8 @@ class TestBestSplitOracle:
 
 
 class TestForwardOracle:
-    """The column-wise softmax against the reductions over the class axis."""
+    """`_forward`, whose softmax works in place, against the first lockstep
+    trainer's forward pass, which builds a new array at each step."""
 
     def _check(self, X, W1, b1, W2, b2):
         for got, want in zip(_forward(X, W1, b1, W2, b2), _lockstep_forward(X, W1, b1, W2, b2)):

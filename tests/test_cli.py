@@ -196,6 +196,22 @@ class TestExtractCommand:
         assert rejects[1:] == [f'{tmp_path / "short.wav"},"recording of 480 samples is shorter '
                                f'than one 640-sample analysis frame"']
 
+    def test_relative_path_resolves_against_the_current_directory(self, tmp_path, monkeypatch):
+        # `a.wav` is opened as written, not next to the manifest that names it
+        wav_dir = tmp_path / "wavs"
+        assert run("synth", "--kind", "pulse", "--out-dir", wav_dir, "--duration", 0.5,
+                   "--sample-rate", 16000, "--name", "a") == 0
+        manifest = wav_dir / "m.csv"
+        manifest.write_text("a.wav,0\n")
+        out = tmp_path / "f.csv"
+        monkeypatch.chdir(wav_dir)
+        assert run("extract", "--manifest", manifest, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 2
+        monkeypatch.chdir(tmp_path)
+        assert run("extract", "--manifest", manifest, "--out", out) == 2
+        rejects = (tmp_path / "f.csv.rejects.csv").read_text().splitlines()
+        assert rejects[1:] == ["a.wav,\"file not found: 'a.wav'\""]
+
 
 class TestRankCommand:
     def test_label_copy_ranks_first(self, tmp_path):

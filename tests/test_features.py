@@ -313,6 +313,21 @@ class TestInvariances:
         assert sa["variance"] == pytest.approx(sb["variance"], rel=1e-12)
         assert sa["kurtosis"] == pytest.approx(sb["kurtosis"], rel=1e-12)
 
+    @pytest.mark.parametrize("fs", [16000, 44100])
+    def test_self_concatenation(self, fs):
+        # the two entropies are sums over samples (MATLAB's `wentropy`), so a
+        # recording played twice has twice each; the amplitude statistics stay
+        from voicepd.pitch import analyze_pitch
+        signal, _ = gen_signal(SynthSpec(kind="pulse_train", f0=120, duration_s=1.0,
+                                         sample_rate=fs, jitter_pct=1.0, seed=5))
+        twice = sig(np.concatenate((signal.samples, signal.samples)), fs)
+        once, doubled = (dict(zip(F.FEATURE_NAMES, F.extract_all(s, analyze_pitch(s))))
+                         for s in (signal, twice))
+        for name in ("log_entropy", "sure_entropy"):
+            assert doubled[name] == pytest.approx(2 * once[name], rel=1e-12)
+        for name in ("rms", "amplitude_mean", "median", "iqr", "skewness", "kurtosis"):
+            assert doubled[name] == pytest.approx(once[name], rel=1e-12)
+
     def test_negation_flips_skew_and_extremes(self):
         rng = np.random.default_rng(18)
         x = peak_normalize(rng.standard_normal(1024) ** 3)
