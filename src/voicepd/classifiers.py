@@ -357,12 +357,13 @@ class NeuralNetwork:
         Each network draws its initial weights, then one permutation per
         epoch, from default_rng(seed), as when trained alone.  Batch k of
         every network's epoch is one stacked (M, B, d) step.  A short last
-        batch is zero-padded, masked out of the output error and divided by
-        its real size, and a network with no batch k steps on padding alone,
-        whose gradient is exactly zero, so a network's weights do not depend
-        on the networks trained beside it.  Each epoch gathers its batches
-        once, and a step works in buffers allocated once and updates the
-        parameters in place through views, allocating no array.
+        batch is zero-padded, and a network with no batch k steps on padding
+        alone.  Each row's output error is divided by its batch's real row
+        count, and a padding row's by inf, which makes it exactly zero, so a
+        network's weights do not depend on the networks trained beside it.
+        Each epoch gathers its batches once, and a step works in buffers
+        allocated once and updates the parameters in place through views,
+        allocating no array.
 
         The mean cross-entropy over all training rows is computed once, after
         the last epoch, for the divergence check.
@@ -397,13 +398,12 @@ class NeuralNetwork:
         n_batches = -(-n_max // size)
         # rows of each network in batch k: fewer than size in a short last
         # batch, and none where the network has no batch k and idles on padding
-        filled = n[:, None] - size * np.arange(n_batches)
-        # only a step where some batch holds padding needs the pad mask and the
-        # per-network divisor: elsewhere p * 1.0 == p and p / real == p / size,
-        # so skipping them leaves every bit as it was
-        short = (filled < size).any(axis=0).tolist()
-        # the divisor is clipped to 1 for an idle network, whose error is all 0
-        divisor = np.clip(filled, 1, size).T[:, :, None, None]
+        filled = n[None, :] - size * np.arange(n_batches)[:, None]
+        # (step, network, slot) divisor of the output error: a real row's
+        # batch row count, and inf on a padding slot, where the softmax
+        # output p >= 0 (or NaN once a fit diverges) divides to exactly 0
+        divisor = np.where(np.arange(size) < filled[..., None],
+                           np.minimum(filled, size)[..., None], np.inf)[..., None]
         rows = np.arange(M)[:, None]
         schedule = np.full((M, n_batches * size), pad)
         # (step, network, row) indices of one epoch's batches
@@ -426,9 +426,8 @@ class NeuralNetwork:
                     schedule[k, : n[k]] = rng.permutation(n[k])
                 xb_all = X_pad[rows.T[:, :, None], batches]
                 onehot_all = onehot[rows.T[:, :, None], batches]
-                keep_all = (batches != pad)[..., None]
-                for xb, xb_t, target, keep, div, is_short in zip(
-                        xb_all, np.swapaxes(xb_all, -1, -2), onehot_all, keep_all, divisor, short):
+                for xb, xb_t, target, div in zip(
+                        xb_all, np.swapaxes(xb_all, -1, -2), onehot_all, divisor):
                     # forward: hidden ReLU activation, then softmax probabilities
                     np.matmul(xb, W1, out=hid)
                     hid += b1_rows
@@ -441,14 +440,9 @@ class NeuralNetwork:
                     np.exp(delta2, out=delta2)
                     np.add.reduce(delta2, axis=-1, out=stat)
                     delta2 /= stat_col
-                    # output error over the real rows, divided by their count
-                    if is_short:
-                        delta2 *= keep
-                        delta2 -= target
-                        delta2 /= div
-                    else:
-                        delta2 -= target
-                        delta2 /= size
+                    # output error, divided by the batch's real row count
+                    delta2 -= target
+                    delta2 /= div
                     np.matmul(delta2, W2_t, out=delta1)
                     # 1.0 where the unit is on and 0.0 where it is off, as a
                     # float, since multiplying by a bool mask casts it first

@@ -119,8 +119,8 @@ class RunConfig:
             raise ConfigError(f"config f0_min must be < f0_max, got {self.f0_min} >= {self.f0_max}")
 
     def pitch_config(self) -> PitchConfig:
-        return PitchConfig(frame_ms=self.frame_ms, hop_ms=self.hop_ms, f0_min=self.f0_min,
-                           f0_max=self.f0_max, voicing_threshold=self.voicing_threshold)
+        names = (f.name for f in dataclasses.fields(PitchConfig))
+        return PitchConfig(**{name: getattr(self, name) for name in names})
 
     def hyperparams(self, algorithm: str) -> dict:
         """Constructor arguments of `algorithm`'s model from the fields that are set."""
@@ -167,8 +167,7 @@ def _check_outputs(*paths: str) -> None:
             os.remove(path)
 
 
-_EXTRACT_FIELDS = ["frame_ms", "hop_ms", "f0_min", "f0_max", "voicing_threshold",
-                   "sure_threshold"]
+_EXTRACT_FIELDS = [*(f.name for f in dataclasses.fields(PitchConfig)), "sure_threshold"]
 _EVAL_FIELDS = ["seed", "bins", "top_k", "test_fraction", "cv_k",
                 *(f.name for f in dataclasses.fields(RunConfig) if f.metadata["algorithm"])]
 

@@ -82,10 +82,7 @@ def _gen_pulse_train(spec: SynthSpec) -> tuple[np.ndarray, GroundTruth]:
 
     # enough periods that the last onset passes n even if every period is the shortest
     count = int(n / (base_period * (1.0 - half_width))) + 2
-    if spec.jitter_pct > 0:
-        periods = base_period * (1.0 + rng.uniform(-half_width, half_width, count))
-    else:
-        periods = np.full(count, base_period)
+    periods = base_period * (1.0 + rng.uniform(-half_width, half_width, count))
     t = np.round(np.concatenate(([0.0], np.cumsum(periods))))
     onsets = t[t < n].astype(np.int64).tolist()
     amps = [1.0 if i % 2 == 0 else amp_ratio for i in range(len(onsets))]

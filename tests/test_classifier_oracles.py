@@ -669,7 +669,7 @@ class TestBatchIndependence:
 
     def test_nn_batch_of_one(self):
         # every batch is full, so only the networks that have run out of
-        # rows step on padding, and their error must still be masked to 0
+        # rows step on padding, and their error must still divide to exactly 0
         fits = uneven_fits(sizes=(9, 14, 11), seed=5)
         make = lambda: NeuralNetwork(hidden=5, epochs=3, batch_size=1, seed=2)
         together = [make() for _ in fits]

@@ -567,6 +567,13 @@ _NONFINITE = {"features_nan_evaluate": ("nan", "evaluate"),
               "features_inf_rank": ("inf", "rank"),
               "features_neg_inf_evaluate": ("-inf", "evaluate"),
               "features_overflow_rank": ("1e999", "rank")}
+# a feature table with no `label` header line: (file text, message fragment),
+# read by each command that loads one
+_HEADERLESS = {"features_empty": (" \n\n", "empty feature CSV"),
+               "features_no_label_header": ("1.0,2.0,0\n3.0,4.0,1\n",
+                                            "must end with a `label` column")}
+_HEADERLESS_CASES = [f"{name}_{command}" for name in _HEADERLESS
+                     for command in ("rank", "evaluate", "plotdata")]
 _BAD_LABEL = {"manifest_label_7": ("extract", "7"),
               "features_label_7": ("evaluate", "7"),
               "features_label_1.0": ("evaluate", "1.0")}
@@ -603,6 +610,13 @@ def _bad_input_case(case, tmp_path):
     if case == "features_missing_plotdata":
         return ["plotdata", "--features", missing, "--feature", "rms",
                 "--out", tmp_path / "p.csv"], missing
+    name, _, command = case.rpartition("_")
+    if name in _HEADERLESS:
+        bad = tmp_path / "headerless.csv"
+        bad.write_text(_HEADERLESS[name][0])
+        reads = {"evaluate": evaluate, "rank": ["rank", "--out", tmp_path / "r.csv"],
+                 "plotdata": ["plotdata", "--feature", "rms", "--out", tmp_path / "p.csv"]}
+        return [*reads[command], "--features", bad], bad
     if case == "out_dir_missing_extract":
         assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.5,
                    "--sample-rate", 16000, "--name", "a") == 0
@@ -670,6 +684,7 @@ def _bad_input_case(case, tmp_path):
     "out_dir_missing_plotdata", "out_dir_is_a_file_synth", "features_repeated_column_rank",
     "features_repeated_spaced_column_rank",
     *_NONFINITE, "features_unnamed_column_rank", "plotdata_feature_not_in_file", *_BAD_LABEL,
+    *_HEADERLESS_CASES,
 ])
 def test_bad_input_file_exit_2(tmp_path, capsys, case):
     argv, path = _bad_input_case(case, tmp_path)
@@ -690,6 +705,8 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
         assert "no name for column 2" in err
     if case == "plotdata_feature_not_in_file":
         assert err.endswith("are: a, b\n")
+    if case in _HEADERLESS_CASES:
+        assert _HEADERLESS[case.rpartition("_")[0]][1] in err
 
 
 @pytest.mark.parametrize("argv", [
