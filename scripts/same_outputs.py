@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Check that this tree and another checkout write byte-identical outputs.
+"""Check that this tree and another checkout write byte-identical files.
 
-Generates the inputs of the benchmark workloads once, with
-`perfbench/workloads.py`, for the chosen data seeds: the WAV corpus of
-`extract` and the feature tables of `evaluate-small` and `evaluate-large`.
-Then runs every command of those workloads with this tree's `src/` and
-with OTHER_TREE's `src/`, each tree in a child process of its own, and
-compares the files they wrote: the feature CSV and its rejects sidecar per
-`extract` run, and one report JSON per `evaluate` run (160 reports over
-the default 16 seeds).  Prints each file that differs or exists on one
-side only, and exits 1 if there is any, 0 if there is none.
+For the chosen data seeds, runs every command of the benchmark workloads
+with this tree's `src/` and with OTHER_TREE's `src/`, each tree in a child
+process of its own.  Each child first writes the workload inputs with this
+checkout's `perfbench/workloads.py` and its own `voicepd` (the WAV corpus
+and manifest of `extract`, the feature tables of `evaluate-small` and
+`evaluate-large`), so a change to `voicepd.synth` shows too.  Both children
+work in the same directory, one after the other, so the manifests name the
+same paths.  Then compares the files they wrote: the inputs, the feature
+CSV and its rejects sidecar per `extract` run, and one report JSON per
+`evaluate` run (160 reports over the default 16 seeds).  Prints each file
+that differs or exists on one side only, and exits 1 if there is any, 0 if
+there is none.
 
 Usage:
     python3 scripts/same_outputs.py OTHER_TREE [--seeds 0 1 ...] [--workloads extract ...]
@@ -27,50 +30,52 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-sys.path.insert(0, str(ROOT / "perfbench"))  # the workload generator
+PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(PERFBENCH))  # the workload generator
 import bootstrap  # noqa: E402
 
 bootstrap.pin_environment()  # one BLAS thread here and in both children
 
 import workloads  # noqa: E402
 
-# runs a JSON list of argv lists through the CLI of the voicepd on its path;
-# prints where voicepd came from, then one exit code per command
+# writes the inputs of each workload and seed under <workload>/seed<seed>/
+# of its working directory with the voicepd on its path, and runs their
+# commands through that voicepd's CLI, which write their outputs next to the
+# inputs; prints where voicepd came from, then "<output path> <exit code>"
+# per command
 _CHILD = """
 import contextlib, io, json, sys
-import voicepd
+from pathlib import Path
+job = json.load(sys.stdin)
+sys.path.insert(0, job["perfbench"])
+import voicepd, workloads
 from voicepd import cli
 print(voicepd.__file__)
-for argv in json.load(sys.stdin):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    print(code)
+work = Path.cwd()
+for name in job["workloads"]:
+    for seed in job["seeds"]:
+        for command in workloads.generate(name, work / name / f"seed{seed}", seed).commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(command.argv)
+            print(command.output.relative_to(work), code)
 """
 
 
-def _with_output(argv: list[str], out: Path) -> list[str]:
-    argv = list(argv)
-    argv[argv.index("--out") + 1] = str(out)
-    return argv
-
-
-def run_tree(tree: Path, commands: list[tuple[str, list[str]]], out_dir: Path) -> list[str]:
-    """Run each (relative output path, argv) with `tree`'s sources, writing
-    under `out_dir`; return one line per command: its exit code."""
+def run_tree(tree: Path, names: list[str], seeds: list[int], work: Path) -> list[list[str]]:
+    """Write the inputs and run the commands of `names` x `seeds` with
+    `tree`'s sources in a new directory `work`; return one (output path
+    relative to `work`, exit code) pair per command."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    argvs = []
-    for rel, argv in commands:
-        (out_dir / rel).parent.mkdir(parents=True, exist_ok=True)
-        argvs.append(_with_output(argv, out_dir / rel))
-    done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(argvs), env=env,
-                          capture_output=True, text=True, cwd=out_dir)
+    work.mkdir()
+    job = {"perfbench": str(PERFBENCH), "workloads": names, "seeds": seeds}
+    done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(job), env=env,
+                          capture_output=True, text=True, cwd=work)
     if done.returncode != 0:
         sys.exit(f"same_outputs: the run with {tree} failed:\n{done.stderr}")
-    source, *codes = done.stdout.splitlines()
+    source, *lines = done.stdout.splitlines()
     if Path(source).resolve().parent != (tree / "src" / "voicepd").resolve():
         sys.exit(f"same_outputs: imported voicepd from {source}, not from {tree / 'src'}")
-    return codes
+    return [line.rsplit(" ", 1) for line in lines]
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -96,21 +101,19 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        commands = []
-        for name in args.workloads:
-            for seed in args.seeds:
-                inputs = workloads.generate(name, tmp / "inputs" / name / str(seed), seed)
-                commands += [(f"{name}/seed{seed}/{c.output.name}", c.argv)
-                             for c in inputs.commands]
-        here = run_tree(ROOT, commands, tmp / "this")
-        there = run_tree(other, commands, tmp / "other")
+        work = tmp / "work"
+        # both trees run in `work`, so their manifests name the same paths
+        here = run_tree(ROOT, args.workloads, args.seeds, work)
+        work.rename(tmp / "this")
+        there = run_tree(other, args.workloads, args.seeds, work)
+        work.rename(tmp / "other")
         diffs = [f"{rel}: exit {a} here, {b} in {other}"
-                 for (rel, _), a, b in zip(commands, here, there) if a != b]
+                 for (rel, a), (_, b) in zip(here, there) if a != b]
         diffs += differing_files(tmp / "this", tmp / "other")
         n_files = sum(1 for p in (tmp / "this").rglob("*") if p.is_file())
     for line in diffs:
         print(f"differs: {line}")
-    print(f"{len(commands)} commands, {n_files} output files: {len(diffs)} differ")
+    print(f"{len(here)} commands, {n_files} input and output files: {len(diffs)} differ")
     return 1 if diffs else 0
 
 

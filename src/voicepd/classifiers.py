@@ -23,17 +23,15 @@ log = logging.getLogger(__name__)
 
 class KNearestNeighbors:
     def __init__(self, k: int = 5):
-        self.n_neighbors = k  # as configured
-        self.k = k            # as the last fit uses it: at most its row count
+        self.k = k
         self.X = None
         self.y = None
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         if len(X) == 0:
             raise DataError("cannot fit knn on an empty dataset")
-        self.k = min(self.n_neighbors, len(X))
-        if self.k < self.n_neighbors:
-            log.warning("knn k=%d > n=%d; clamping to n", self.n_neighbors, len(X))
+        if self.k > len(X):
+            log.warning("knn k=%d > n=%d; clamping to n", self.k, len(X))
         self.X = np.array(X)
         self.y = np.array(y)
         return self
@@ -51,7 +49,7 @@ class KNearestNeighbors:
         return dists
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        # each query's k nearest rows in stable-argsort order vote
+        # each query's k nearest rows (all rows if fewer) in stable-argsort order vote
         dists = self._distances(X)
         order = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
         labels = self.y[order]
@@ -228,10 +226,8 @@ class LinearSVM:
         if any(len(X) == 0 for X in Xs):
             raise DataError("cannot fit svm on an empty dataset")
         machines = []  # (model index, class index)
-        for mi, (model, X, y) in enumerate(zip(models, Xs, ys)):
+        for mi, (model, y) in enumerate(zip(models, ys)):
             model.classes_ = label_classes(y)
-            model.W = np.zeros((len(model.classes_), X.shape[1]))
-            model.b = np.zeros(len(model.classes_))
             machines += [(mi, ci) for ci in range(len(model.classes_))]
         owner = np.array([mi for mi, _ in machines])
         n = np.array([len(Xs[mi]) for mi in owner])
@@ -286,9 +282,9 @@ class LinearSVM:
                     np.less(margin, 1.0, out=hit_row)
                     Wb *= dec
                     np.add(Wb, upd, out=Wb, where=hit)
-        for k, (mi, ci) in enumerate(machines):
-            models[mi].W[ci] = W[k]
-            models[mi].b[ci] = bias[k]
+        # a boolean index copies, so no model aliases the training buffer
+        for mi, model in enumerate(models):
+            model.W, model.b = W[owner == mi], bias[owner == mi]
         return models
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -191,7 +191,7 @@ def cmd_extract(args) -> int:
             continue
         rows.append(row)
         labels.append(entry.label)
-    features = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
+    features = np.array(rows).reshape(-1, len(FEATURE_NAMES))
     dataset = LabeledDataset(features=features, labels=np.array(labels, dtype=np.int64))
     save_feature_csv(args.out, dataset)
     with open_output(sidecar) as fh:

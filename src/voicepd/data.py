@@ -131,7 +131,7 @@ def load_feature_csv(path: str) -> LabeledDataset:
             raise DataError(f"{path!r} line {lineno}: {exc}") from None
         labels.append(parse_label(parts[-1], path, lineno))
         linenos.append(lineno)
-    features = np.array(rows) if rows else np.empty((0, len(names)))
+    features = np.array(rows).reshape(-1, len(names))
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):  # float() accepts nan, inf and 1e999, which extract never writes
         i, j = bad[0]

@@ -180,8 +180,8 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
     # each frame's period in samples, as Python floats for the per-cycle loop
     steps = (periods * fs).tolist()
 
-    all_periods: list[np.ndarray] = []
-    all_peaks: list[np.ndarray] = []
+    all_periods = [np.empty(0)]
+    all_peaks = [np.empty(0)]
     for i, j in _voiced_runs(periods):
         # voiced run covers frames i..j-1
         start = i * hop
@@ -210,8 +210,8 @@ def segment_cycles(signal: AudioSignal, estimates: list[PitchEstimate],
         all_peaks.append(peaks[keep])
 
     return PitchTrack(
-        cycle_periods=np.concatenate(all_periods) if all_periods else np.array([]),
-        cycle_peaks=np.concatenate(all_peaks) if all_peaks else np.array([]),
+        cycle_periods=np.concatenate(all_periods),
+        cycle_peaks=np.concatenate(all_peaks),
     )
 
 

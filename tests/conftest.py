@@ -9,7 +9,3 @@ def sine_440():
     fs = 16000
     t = np.arange(fs) / fs
     return AudioSignal(samples=np.sin(2 * np.pi * 440 * t), sample_rate=fs)
-
-
-def make_signal(samples, fs=8000):
-    return AudioSignal(samples=np.asarray(samples, dtype=np.float64), sample_rate=fs)

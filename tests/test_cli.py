@@ -51,6 +51,11 @@ class TestSynthCommand:
         assert truth["spec"]["jitter_pct"] == 1.0
         assert len(truth["cycle_periods_s"]) > 50
 
+    def test_default_name_from_kind_and_flags(self, tmp_path):
+        assert run("synth", "--kind", "pulse", "--out-dir", tmp_path, "--duration", 0.2) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "pulse_train_f100_j0_s0_seed0.json", "pulse_train_f100_j0_s0_seed0.wav"]
+
     def test_invalid_f0_nonzero_exit(self, tmp_path, capsys):
         code = run("synth", "--kind", "sine", "--out-dir", tmp_path,
                    "--f0", 30000, "--sample-rate", 8000)
@@ -591,6 +596,10 @@ def _bad_input_case(case, tmp_path):
     if case == "config_missing":
         bad = tmp_path / "no_such.json"
         return [*evaluate, "--features", features, "--config", bad], bad
+    if case == "config_not_an_object":
+        bad = tmp_path / "cfg.json"
+        bad.write_text("[1]")
+        return [*evaluate, "--features", features, "--config", bad], bad
     if case == "config_malformed":
         bad = tmp_path / "cfg.json"
         bad.write_text('{"seed": 1,')
@@ -678,8 +687,9 @@ def _bad_input_case(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "config_missing", "config_malformed", "manifest_not_utf8", "features_not_utf8",
-    "features_missing_evaluate", "features_missing_rank", "features_missing_plotdata",
+    "config_missing", "config_not_an_object", "config_malformed", "manifest_not_utf8",
+    "features_not_utf8", "features_missing_evaluate", "features_missing_rank",
+    "features_missing_plotdata",
     "out_dir_missing_extract", "out_dir_missing_rank", "out_dir_missing_evaluate",
     "out_dir_missing_plotdata", "out_dir_is_a_file_synth", "features_repeated_column_rank",
     "features_repeated_spaced_column_rank",
@@ -695,6 +705,8 @@ def test_bad_input_file_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert err.count("\n") == 1 and [str(w.message) for w in caught] == []
+    if case == "config_not_an_object":
+        assert "must hold a JSON object" in err
     if case in _NONFINITE:
         assert "line 5:" in err and "not a finite number" in err
     if case in _BAD_LABEL:

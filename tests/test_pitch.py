@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from test_pitch_oracles import estimate_pitch
 from voicepd.audio_io import AudioSignal
 from voicepd.errors import ConfigError
 from voicepd.pitch import (
     PitchConfig,
-    _estimate_frames,
     analyze_pitch,
     segment_cycles,
     track_pitch,
@@ -13,11 +13,6 @@ from voicepd.pitch import (
 from voicepd.synth import SynthSpec, gen_signal
 
 CFG = PitchConfig()
-
-
-def estimate_pitch(frame, fs, config):
-    """Pitch estimate of a single frame."""
-    return _estimate_frames(np.asarray(frame, dtype=np.float64)[np.newaxis], fs, config)[0]
 
 
 class TestEstimatePitch:
