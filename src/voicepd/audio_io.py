@@ -46,10 +46,6 @@ class AudioSignal:
         if _peak(self.samples) > 1.0 + 1e-9:
             raise AudioDecodeError(f"samples exceed [-1, 1]: {self.source_path!r}")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class ManifestEntry:

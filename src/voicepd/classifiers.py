@@ -361,8 +361,8 @@ class NeuralNetwork:
         allocated once and updates the parameters in place through views,
         allocating no array.
 
-        The mean cross-entropy over all training rows is computed once, after
-        the last epoch, for the divergence check.
+        One forward pass over all training rows, after the last epoch, gives
+        the softmax outputs that the divergence check reads with the weights.
         """
         if len({(m.hidden, m.lr, m.epochs, m.batch_size) for m in models}) > 1:
             raise ValueError("networks trained together must share hyperparameters")
@@ -450,12 +450,11 @@ class NeuralNetwork:
                     np.add.reduce(delta2, axis=-2, out=g_b2)
                     G *= lr
                     P -= G
-            # each network's mean cross-entropy over its training rows
+            # finite weights can still overflow the forward pass, so each
+            # network's softmax over its training rows is checked too
             _, _, probs = _forward(X_pad[:, :n_max], W1, b1, W2, b2)
-            p_true = (probs * onehot[:, :n_max]).sum(axis=-1)
-            last = [float(-np.mean(np.log(p_true[k, : n[k]] + 1e-300))) for k in range(M)]
         for k, net in enumerate(models):
-            if not (math.isfinite(last[k]) and np.isfinite(P[k]).all()):
+            if not (np.isfinite(probs[k, : n[k]]).all() and np.isfinite(P[k]).all()):
                 raise DataError(f"nn training diverged on fit {k + 1} of {M}; lower nn_lr")
             net.W1, net.b1, net.W2, net.b2 = W1[k].copy(), b1[k].copy(), W2[k].copy(), b2[k].copy()
         return models

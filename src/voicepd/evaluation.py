@@ -4,7 +4,7 @@ per-class precision/recall/F1 reports."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.counts]
+        return self.counts.tolist()
 
 
 @dataclass
@@ -60,15 +60,7 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,
-            "per_class": {
-                CLASS_NAMES[c]: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "zero_denominator": m.zero_denominator,
-                }
-                for c, m in self.per_class.items()
-            },
+            "per_class": {CLASS_NAMES[c]: asdict(m) for c, m in self.per_class.items()},
             "model": self.model_id,
             "fold": self.fold_id,
         }

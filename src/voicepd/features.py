@@ -135,6 +135,9 @@ def descriptive_stats(signal: AudioSignal) -> dict[str, float]:
     m2 = float(s2 / n)  # np.mean(c2); s2 / (n - 1) is np.var(x, ddof=1)
     variance = float(s2 / (n - 1))
     if m2 > 0.0:
+        if m2 ** 2 == 0.0:
+            raise UndefinedFeatureError("skewness and kurtosis undefined: the variance "
+                                        f"{variance!r} is too small to square")
         skewness = float(s3 / n) / m2 ** 1.5
         kurtosis = float(s4 / n) / m2 ** 2
     else:
@@ -170,11 +173,11 @@ def _lerp(a: float, b: float, t: float) -> float:
     return a + (b - a) * t
 
 
-def log_entropy(signal: AudioSignal, eps: float = 1e-12) -> float:
-    """Log-energy entropy: sum of log(x_i^2 + eps) over samples."""
+def log_entropy(signal: AudioSignal) -> float:
+    """Log-energy entropy: sum of log(x_i^2 + 1e-12) over samples."""
     x = signal.samples
     buf = np.multiply(x, x)
-    buf += eps
+    buf += 1e-12
     return float(np.sum(np.log(buf, out=buf)))
 
 

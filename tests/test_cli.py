@@ -1020,23 +1020,3 @@ def test_readme_gives_each_config_flag_range_and_default():
         else:
             assert float(default_cell) == default
 
-
-class TestFullPipelineDeterminism:
-    def test_byte_identical_outputs(self, tmp_path):
-        outputs = []
-        for run_dir in ("run1", "run2"):
-            base = tmp_path / run_dir
-            base.mkdir()
-            manifest = synth_dataset(str(base), per_class=4)
-            features = base / "features.csv"
-            ranked = base / "ranked.csv"
-            report = base / "report.json"
-            assert run("extract", "--manifest", manifest, "--out", features) == 0
-            assert run("rank", "--features", features, "--out", ranked) == 0
-            assert run("evaluate", "--features", features, "--algorithm", "tree",
-                       "--cv-k", 3, "--test-fraction", 0.25, "--seed", 1,
-                       "--out", report) == 0
-            outputs.append(
-                (features.read_bytes(), ranked.read_bytes(), report.read_bytes())
-            )
-        assert outputs[0] == outputs[1]

@@ -48,6 +48,9 @@ GUARDS = [
     ("descriptive_stats_one_sample",
      lambda _: descriptive_stats(AudioSignal(np.array([0.5]), 16000)),
      UndefinedFeatureError, "descriptive stats need at least 2 samples"),
+    ("descriptive_stats_variance_square_underflows",
+     lambda _: descriptive_stats(AudioSignal(1e-150 * np.array([1.0, -1.0, 1.0, 0.5]), 16000)),
+     UndefinedFeatureError, "skewness and kurtosis undefined: the variance"),
     ("frame_geometry_zero_frame", lambda _: frame_geometry(16000, 0.0, 10.0),
      ValueError, "frame_ms and hop_ms must be positive"),
     ("pitch_track_lengths_differ", lambda _: PitchTrack([0.01, 0.01], [1.0]),
